@@ -29,6 +29,7 @@
 #include "dns/trace_source.h"
 #include "dns/wire/dnstap.h"
 #include "dns/wire/pcap.h"
+#include "features/extractor.h"
 #include "util/obs/health.h"
 #include "util/obs/journal.h"
 #include "util/obs/metrics.h"
@@ -156,13 +157,13 @@ class ChainedTraceSource final : public seg::dns::TraceSource {
 
 // The streaming leg: one core::Pipeline session per ISP, the ISP's days
 // chained into one stream and ingested through the back-pressured queue so
-// the carried name dictionary and sharded stores do their job.
+// the carried name dictionary does its job.
 struct StreamingTotals {
   std::vector<double> ingest_seconds;       // per ISP-day, in run order
   std::vector<double> reuse_ratios;         // name-dictionary reuse per day
   std::size_t cached_names = 0;             // dictionary size after last day
-  double activity_queries_per_second = 0.0; // sharded F2 batch lookup rate
-  double pdns_queries_per_second = 0.0;     // sharded F3 batch lookup rate
+  double activity_queries_per_second = 0.0; // F2 history lookup rate
+  double pdns_queries_per_second = 0.0;     // F3 history lookup rate
   std::vector<double> scores;               // for the bit-identity check
   double stream_wall_seconds = 0.0;         // ingest_stream wall clock, summed
   std::uint64_t stream_records = 0;         // records through the queue
@@ -221,35 +222,38 @@ StreamingTotals run_streaming(std::size_t threads, std::size_t max_isps) {
                                stats.reuse_ratios.end());
     totals.cached_names += stats.cached_names;
 
-    // Batch-lookup throughput, measured on the last ingested day's graph:
-    // the same F2/F3 query mix the feature extractor issues.
-    const auto& graph = last_day.graph;
-    const dns::Day t_now = graph.day();
-    std::vector<dns::ShardedActivityIndex::Query> activity_queries;
-    for (graph::DomainId d = 0; d < graph.domain_count(); ++d) {
-      activity_queries.push_back(
-          {graph.domain_name(d), t_now - config.features.activity_window_days + 1, t_now,
-           t_now});
+    // History-lookup throughput, measured on the last ingested day's graph:
+    // a FeatureExtractor construction runs every F2/F3 lookup, each store's
+    // loop under its own span, with the query counts in the obs counters.
+    auto& registry = obs::Registry::instance();
+    auto& activity_counter = registry.counter("seg_activity_queries_total");
+    auto& pdns_counter = registry.counter("seg_pdns_queries_total");
+    const std::uint64_t activity_before = activity_counter.value();
+    const std::uint64_t pdns_before = pdns_counter.value();
+    obs::Tracer::instance().clear();
+    obs::Tracer::instance().set_enabled(true);
+    {
+      const features::FeatureExtractor extractor(last_day.graph, pipeline.activity(),
+                                                 pipeline.pdns(), config.features);
     }
-    std::vector<dns::ShardedPassiveDnsDb::AbuseQuery> pdns_queries;
-    for (graph::DomainId d = 0; d < graph.domain_count(); ++d) {
-      for (const auto ip : graph.resolved_ips(d)) {
-        pdns_queries.push_back({ip, t_now - config.features.pdns_window_days, t_now - 1});
+    obs::Tracer::instance().set_enabled(false);
+    double activity_seconds = 0.0;
+    double pdns_seconds = 0.0;
+    for (const auto& record : obs::Tracer::instance().snapshot()) {
+      if (record.name == "dns/activity_query_batch") {
+        activity_seconds += static_cast<double>(record.dur_ns) * 1e-9;
+      } else if (record.name == "dns/pdns_query_batch") {
+        pdns_seconds += static_cast<double>(record.dur_ns) * 1e-9;
       }
     }
-    obs::Span activity_span("bench/activity_batch");
-    (void)pipeline.activity().query_batch(activity_queries);
-    const double activity_seconds = activity_span.close();
-    obs::Span pdns_span("bench/pdns_batch");
-    (void)pipeline.pdns().query_batch(pdns_queries);
-    const double pdns_seconds = pdns_span.close();
+    obs::Tracer::instance().clear();
     if (activity_seconds > 0.0) {
       totals.activity_queries_per_second =
-          static_cast<double>(activity_queries.size()) / activity_seconds;
+          static_cast<double>(activity_counter.value() - activity_before) / activity_seconds;
     }
     if (pdns_seconds > 0.0) {
       totals.pdns_queries_per_second =
-          static_cast<double>(pdns_queries.size()) / pdns_seconds;
+          static_cast<double>(pdns_counter.value() - pdns_before) / pdns_seconds;
     }
   }
   return totals;

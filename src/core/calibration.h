@@ -21,18 +21,11 @@ struct CalibrationResult {
 };
 
 /// Calibrates on `graph`'s known domains (hidden-label scores) for an FP
-/// budget of `max_fpr`. Requires a trained detector and a graph holding
-/// both known classes.
-CalibrationResult calibrate_threshold(const Segugio& segugio,
-                                      const graph::MachineDomainGraph& graph,
+/// budget of `max_fpr`. Requires a trained detector and a graph (any
+/// backing) holding both known classes. Top-level calls only (see
+/// features/extractor.h).
+CalibrationResult calibrate_threshold(const Segugio& segugio, const graph::GraphView& graph,
                                       const dns::DomainActivityIndex& activity,
                                       const dns::PassiveDnsDb& pdns, double max_fpr);
-
-/// Sharded-store overload, used by the streaming pipeline. Top-level
-/// calls only (see dns/sharded_store.h).
-CalibrationResult calibrate_threshold(const Segugio& segugio,
-                                      const graph::MachineDomainGraph& graph,
-                                      const dns::ShardedActivityIndex& activity,
-                                      const dns::ShardedPassiveDnsDb& pdns, double max_fpr);
 
 }  // namespace seg::core

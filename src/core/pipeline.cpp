@@ -334,7 +334,7 @@ void Pipeline::journal_annotate_classify(const PreparedDay& day,
 
   // Per-feature summary histograms over the day's unknown domains, walked
   // serially in domain-id order: deterministic for every SEG_THREADS (the
-  // sharded extractor's batch precompute is order-independent, and the
+  // extractor's history precompute is order-independent, and the
   // per-domain extract() calls touch no shared state).
   std::vector<obs::JournalHistogram> feature_hists;
   feature_hists.reserve(features::kNumFeatures);

@@ -1,13 +1,10 @@
 // The streaming multi-day pipeline (Figure 2, run day after day).
 //
 // A Pipeline is a long-lived session over one monitored network. It owns
-// the history stores (domain activity, passive DNS) in their sharded form
-// and a carried name dictionary, so consecutive days share work:
-//
-//   - name validation/normalization/e2LD facts computed on day t are
-//     reused on day t+1 (only genuinely new names pay the full cost);
-//   - F2/F3 history lookups run as parallel batches against the sharded
-//     stores instead of one hash probe at a time.
+// the history stores (domain activity, passive DNS) and a carried name
+// dictionary, so consecutive days share work: name validation,
+// normalization and e2LD facts computed on day t are reused on day t+1
+// (only genuinely new names pay the full cost).
 //
 // Records enter through ingest_stream(): a TraceSource (dnstap capture,
 // pcap, SEGTRC1 binlog, sim TSV, or an in-memory trace) is parsed on a
@@ -19,8 +16,8 @@
 //
 // Determinism contract: every PreparedDay graph and every classify()
 // score is bit-identical to what a from-scratch Segugio::prepare_graph /
-// train / classify over the same inputs produces, for every thread and
-// shard count (tests/core/pipeline_test.cpp asserts byte equality of the
+// train / classify over the same inputs produces, for every thread count
+// (tests/core/pipeline_test.cpp asserts byte equality of the
 // serialized graphs and exact score equality at 1 and 8 threads) — and a
 // streamed session is byte-identical to the equivalent day-batch session
 // under the blocking back-pressure policy, the only policy that never
@@ -47,7 +44,6 @@
 #include <vector>
 
 #include "core/segugio.h"
-#include "dns/sharded_store.h"
 #include "dns/trace_source.h"
 #include "graph/name_cache.h"
 #include "util/ingest_queue.h"
@@ -133,14 +129,14 @@ class Pipeline {
   /// pipeline.
   explicit Pipeline(const dns::PublicSuffixList& psl, SegugioConfig config = {});
 
-  /// Session seeded from existing serial history (e.g. a warmup period or
-  /// stores loaded from disk); the stores are absorbed by copy.
+  /// Session seeded from existing history (e.g. a warmup period or stores
+  /// loaded from disk); the stores are absorbed by copy.
   Pipeline(const dns::PublicSuffixList& psl, const dns::DomainActivityIndex& activity,
            const dns::PassiveDnsDb& pdns, SegugioConfig config = {});
 
-  /// Folds serial history into the session's sharded stores. Idempotent:
-  /// absorbing the same snapshot twice changes nothing, so callers may
-  /// re-absorb a growing store after each day.
+  /// Folds history into the session's stores. Idempotent: absorbing the
+  /// same snapshot twice changes nothing, so callers may re-absorb a
+  /// growing store after each day.
   void absorb_history(const dns::DomainActivityIndex& activity, const dns::PassiveDnsDb& pdns);
 
   /// Consumes `source` to exhaustion: parses records on a producer thread,
@@ -168,18 +164,18 @@ class Pipeline {
                          const graph::NameSet& e2ld_whitelist);
 
   /// Trains the detector from the day's known domains (Figure 5 protocol),
-  /// with history served by the sharded stores.
+  /// with history served by the session's stores.
   void train(const PreparedDay& day);
 
   /// Scores the day's unknown domains; the report is self-contained (see
   /// DetectionReport).
   DetectionReport classify(const PreparedDay& day) const;
 
-  /// Persists the session state that is NOT reconstructible from the serial
+  /// Persists the session state that is NOT reconstructible from the
   /// history stores: the carried name dictionary (`segf1 pipeline-session`
   /// stream embedding a `segf1 namecache` payload). The activity/pdns
-  /// history keeps using the serial stores' own save/load plus
-  /// absorb_history(), so a restart is:
+  /// history keeps using the stores' own save/load plus absorb_history(),
+  /// so a restart is:
   ///
   ///   save:  activity.save(a); pdns.save(p); pipeline.save_session(s);
   ///   load:  Pipeline fresh(psl, config);
@@ -221,8 +217,8 @@ class Pipeline {
   const Segugio& detector() const { return detector_; }
   Segugio& detector() { return detector_; }
   const SegugioConfig& config() const { return detector_.config(); }
-  const dns::ShardedActivityIndex& activity() const { return activity_; }
-  const dns::ShardedPassiveDnsDb& pdns() const { return pdns_; }
+  const dns::DomainActivityIndex& activity() const { return activity_; }
+  const dns::PassiveDnsDb& pdns() const { return pdns_; }
   const StreamingStats& streaming_stats() const { return stats_; }
 
  private:
@@ -243,8 +239,8 @@ class Pipeline {
   const dns::PublicSuffixList* psl_;
   Segugio detector_;
   graph::NameCache cache_;
-  dns::ShardedActivityIndex activity_;
-  dns::ShardedPassiveDnsDb pdns_;
+  dns::DomainActivityIndex activity_;
+  dns::PassiveDnsDb pdns_;
   StreamingStats stats_;
 
   JournalOptions journal_options_;

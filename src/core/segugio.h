@@ -30,7 +30,6 @@
 #include "dns/pdns.h"
 #include "dns/public_suffix_list.h"
 #include "dns/query_log.h"
-#include "dns/sharded_store.h"
 #include "features/training_set.h"
 #include "graph/prober_filter.h"
 #include "graph/pruning.h"
@@ -144,12 +143,6 @@ struct DetectionReport {
   /// Domains with score >= threshold, most suspicious first, with the
   /// querying machines from the attribution captured at classify() time.
   std::vector<Detection> detections_at(double threshold) const;
-
-  /// Transitional overload for callers still holding the graph; the
-  /// attribution captured in the report makes the graph redundant.
-  // seg-deprecated
-  std::vector<Detection> detections_at(double threshold,
-                                       const graph::MachineDomainGraph& graph) const;
 };
 
 /// Everything prepare_graph() produces for one day of traffic.
@@ -173,47 +166,25 @@ class Segugio {
                                      const PrepareOptions& options = {});
 
   /// Trains the behavior-based classifier from the known domains of a
-  /// prepared graph (hidden-label protocol of Figure 5).
-  void train(const graph::MachineDomainGraph& graph, const dns::DomainActivityIndex& activity,
-             const dns::PassiveDnsDb& pdns);
-
-  /// Sharded-store overload: history lookups go through the stores'
-  /// parallel query_batch. Top-level calls only (see dns/sharded_store.h).
-  void train(const graph::MachineDomainGraph& graph,
-             const dns::ShardedActivityIndex& activity, const dns::ShardedPassiveDnsDb& pdns);
-
-  /// GraphView overloads: train from any backing — a heap graph's view()
-  /// or an mmap-resident graph (graph::map_graph). Scores and the fitted
-  /// model are bit-identical to the heap overloads.
+  /// prepared graph (hidden-label protocol of Figure 5). `graph` may be any
+  /// backing: a heap graph (converted to its view) or an mmap-resident
+  /// graph from graph::map_graph(); the fitted model is bit-identical
+  /// across backings. Top-level calls only (the history lookups use the
+  /// shared pool; see features/extractor.h).
   void train(const graph::GraphView& graph, const dns::DomainActivityIndex& activity,
              const dns::PassiveDnsDb& pdns);
-  void train(const graph::GraphView& graph, const dns::ShardedActivityIndex& activity,
-             const dns::ShardedPassiveDnsDb& pdns);
 
   bool is_trained() const;
 
-  /// Scores every unknown domain of a prepared graph and captures the
-  /// machine attribution into the report.
-  DetectionReport classify(const graph::MachineDomainGraph& graph,
-                           const dns::DomainActivityIndex& activity,
-                           const dns::PassiveDnsDb& pdns) const;
-
-  /// Sharded-store overload: history lookups go through the stores'
-  /// parallel query_batch. Top-level calls only (see dns/sharded_store.h).
-  DetectionReport classify(const graph::MachineDomainGraph& graph,
-                           const dns::ShardedActivityIndex& activity,
-                           const dns::ShardedPassiveDnsDb& pdns) const;
-
-  /// GraphView overloads: classify any backing. Setting SEG_GRAPH_BACKING=mmap
-  /// in the environment makes the heap-graph classify overloads reroute
-  /// through a packed graphc temp file and one of these (zero-copy view),
-  /// which the oocore CI leg uses to assert score bit-identity.
+  /// Scores every unknown domain of a prepared graph (any backing) and
+  /// captures the machine attribution into the report. Setting
+  /// SEG_GRAPH_BACKING=mmap in the environment reroutes the scoring
+  /// through a packed graphc temp file and its zero-copy mapped view,
+  /// which the oocore CI leg uses to assert score bit-identity. Top-level
+  /// calls only, like train().
   DetectionReport classify(const graph::GraphView& graph,
                            const dns::DomainActivityIndex& activity,
                            const dns::PassiveDnsDb& pdns) const;
-  DetectionReport classify(const graph::GraphView& graph,
-                           const dns::ShardedActivityIndex& activity,
-                           const dns::ShardedPassiveDnsDb& pdns) const;
 
   /// Malware score of a single feature vector (full 11 features; the
   /// configured subset is applied internally).
@@ -237,21 +208,17 @@ class Segugio {
   /// trained in one network can be dropped into another (Section IV-A's
   /// cross-network story). Streams start with the versioned
   /// `segf1 segugio-model <version>` header (util/serialize.h); load()
-  /// also accepts headerless legacy `segugio 1` streams.
+  /// throws util::ParseError on headerless streams.
   void save(std::ostream& out) const;
   static Segugio load(std::istream& in);
 
-  static constexpr int kModelFormatVersion = 2;  ///< 2 = segf1 header; 1 = legacy
+  static constexpr int kModelFormatVersion = 2;  ///< 2 = segf1 header
 
  private:
   std::vector<double> apply_subset(std::span<const double> features) const;
-  void train_impl(const graph::GraphView& graph,
-                  const features::FeatureExtractor& extractor);
-  DetectionReport classify_impl(const graph::GraphView& graph,
-                                const features::FeatureExtractor& extractor) const;
-  template <typename ActivityT, typename PdnsT>
-  DetectionReport classify_via_mmap(const graph::MachineDomainGraph& graph,
-                                    const ActivityT& activity, const PdnsT& pdns) const;
+  DetectionReport classify_view(const graph::GraphView& graph,
+                                const dns::DomainActivityIndex& activity,
+                                const dns::PassiveDnsDb& pdns) const;
 
   SegugioConfig config_;
   std::unique_ptr<ml::RandomForest> forest_;

@@ -10,12 +10,10 @@
 
 namespace seg::dns {
 
-void DomainActivityIndex::mark_active(std::string_view name, Day day) {
-  auto it = days_.find(name);
-  if (it == days_.end()) {
-    it = days_.emplace(std::string(name), std::vector<Day>{}).first;
-  }
-  auto& days = it->second;
+namespace {
+
+// Keeps `days` sorted and distinct; O(1) for in-order appends.
+void insert_day(std::vector<Day>& days, Day day) {
   if (days.empty() || days.back() < day) {
     days.push_back(day);
     return;
@@ -27,6 +25,16 @@ void DomainActivityIndex::mark_active(std::string_view name, Day day) {
   if (pos == days.end() || *pos != day) {
     days.insert(pos, day);
   }
+}
+
+}  // namespace
+
+void DomainActivityIndex::mark_active(std::string_view name, Day day) {
+  auto it = days_.find(name);
+  if (it == days_.end()) {
+    it = days_.emplace(std::string(name), std::vector<Day>{}).first;
+  }
+  insert_day(it->second, day);
 }
 
 int DomainActivityIndex::active_days(std::string_view name, Day from, Day to) const {
@@ -71,10 +79,17 @@ std::optional<Day> DomainActivityIndex::first_seen(std::string_view name) const 
   return it->second.front();
 }
 
-void DomainActivityIndex::visit(
-    const std::function<void(std::string_view, std::span<const Day>)>& fn) const {
-  for (const auto& [name, days] : days_) {
-    fn(name, days);
+void DomainActivityIndex::absorb(const DomainActivityIndex& other) {
+  if (&other == this) {
+    return;
+  }
+  for (const auto& [name, days] : other.days_) {
+    const auto [it, inserted] = days_.try_emplace(name, days);
+    if (!inserted) {
+      for (const auto day : days) {
+        insert_day(it->second, day);
+      }
+    }
   }
 }
 
@@ -99,9 +114,10 @@ void DomainActivityIndex::save(std::ostream& out) const {
 }
 
 DomainActivityIndex DomainActivityIndex::load(std::istream& in) {
-  // Headerless legacy streams parse identically: versions only differ in
-  // the segf1 prefix so far.
-  (void)util::read_format_header(in, "activity", kFormatVersion);
+  const int version = util::read_format_header(in, "activity", kFormatVersion,
+                                               /*legacy_version=*/0);
+  util::require_data(version >= 1,
+                     "DomainActivityIndex::load: stream has no 'segf1 activity' header");
   std::string tag;
   std::size_t count = 0;
   in >> tag >> count;

@@ -11,7 +11,6 @@
 #include <functional>
 #include <iosfwd>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -41,18 +40,18 @@ class DomainActivityIndex {
 
   std::size_t tracked_names() const { return days_.size(); }
 
-  /// Enumerates every (name, sorted days) pair in unspecified order (used
-  /// by the sharded store's absorb and merged save paths).
-  void visit(const std::function<void(std::string_view name, std::span<const Day> days)>& fn)
-      const;
+  /// Folds another index's observations into this one. Idempotent:
+  /// absorbing the same index twice changes nothing.
+  void absorb(const DomainActivityIndex& other);
 
   /// Text serialization: one `name day day ...` line per tracked name,
   /// prefixed with the versioned `segf1 activity <version>` header
-  /// (util/serialize.h). load() also accepts headerless legacy streams.
+  /// (util/serialize.h). load() requires that header and throws
+  /// util::ParseError on headerless streams.
   void save(std::ostream& out) const;
   static DomainActivityIndex load(std::istream& in);
 
-  static constexpr int kFormatVersion = 2;  ///< 2 = segf1 header; 1 = legacy
+  static constexpr int kFormatVersion = 2;  ///< 2 = segf1 header
 
  private:
   struct StringHash {
@@ -64,5 +63,8 @@ class DomainActivityIndex {
 
   std::unordered_map<std::string, std::vector<Day>, StringHash, std::equal_to<>> days_;
 };
+
+/// Old spelling of the activity store, kept only for perfbench/driver.cpp.
+using ShardedActivityIndex = DomainActivityIndex;
 
 }  // namespace seg::dns

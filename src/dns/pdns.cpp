@@ -87,34 +87,26 @@ bool PassiveDnsDb::any_in_range(const DayIndex& index, std::uint32_t key, Day fr
   return lo != days.end() && *lo <= to;
 }
 
-void PassiveDnsDb::visit(
-    PdnsIndexKind kind,
-    const std::function<void(std::uint32_t, std::span<const Day>)>& fn) const {
-  const DayIndex* index = nullptr;
-  switch (kind) {
-    case PdnsIndexKind::kIpMalware: index = &ip_malware_; break;
-    case PdnsIndexKind::kIpUnknown: index = &ip_unknown_; break;
-    case PdnsIndexKind::kPrefixMalware: index = &prefix_malware_; break;
-    case PdnsIndexKind::kPrefixUnknown: index = &prefix_unknown_; break;
-  }
-  for (const auto& [key, days] : *index) {
-    fn(key, days);
+void PassiveDnsDb::merge_index(DayIndex& into, const DayIndex& from) {
+  for (const auto& [key, days] : from) {
+    const auto [it, inserted] = into.try_emplace(key, days);
+    if (!inserted) {
+      for (const auto day : days) {
+        insert_day(it->second, day);
+      }
+    }
   }
 }
 
-void PassiveDnsDb::merge_index_days(PdnsIndexKind kind, std::uint32_t key,
-                                    std::span<const Day> days) {
-  DayIndex* index = nullptr;
-  switch (kind) {
-    case PdnsIndexKind::kIpMalware: index = &ip_malware_; break;
-    case PdnsIndexKind::kIpUnknown: index = &ip_unknown_; break;
-    case PdnsIndexKind::kPrefixMalware: index = &prefix_malware_; break;
-    case PdnsIndexKind::kPrefixUnknown: index = &prefix_unknown_; break;
+void PassiveDnsDb::absorb(const PassiveDnsDb& other) {
+  if (&other == this) {
+    return;
   }
-  auto& stored = (*index)[key];
-  for (const auto day : days) {
-    insert_day(stored, day);
-  }
+  merge_index(ip_malware_, other.ip_malware_);
+  merge_index(ip_unknown_, other.ip_unknown_);
+  merge_index(prefix_malware_, other.prefix_malware_);
+  merge_index(prefix_unknown_, other.prefix_unknown_);
+  observations_ = std::max(observations_, other.observations_);
 }
 
 namespace {
@@ -178,9 +170,9 @@ void PassiveDnsDb::save(std::ostream& out) const {
 }
 
 PassiveDnsDb PassiveDnsDb::load(std::istream& in) {
-  // Headerless legacy streams parse identically: versions only differ in
-  // the segf1 prefix so far.
-  (void)util::read_format_header(in, "pdns", kFormatVersion);
+  const int version = util::read_format_header(in, "pdns", kFormatVersion,
+                                               /*legacy_version=*/0);
+  util::require_data(version >= 1, "PassiveDnsDb::load: stream has no 'segf1 pdns' header");
   std::string tag;
   std::size_t observations = 0;
   in >> tag >> observations;

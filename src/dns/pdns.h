@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <span>
 #include <unordered_map>
@@ -23,9 +22,6 @@ namespace seg::dns {
 /// Label of the domain that pointed at an IP, as known when the passive DNS
 /// observation was stored.
 enum class PdnsAssociation { kMalware, kUnknown, kBenign };
-
-/// One of the four (ip | /24 prefix) x (malware | unknown) day indexes.
-enum class PdnsIndexKind { kIpMalware, kIpUnknown, kPrefixMalware, kPrefixUnknown };
 
 class PassiveDnsDb {
  public:
@@ -56,26 +52,19 @@ class PassiveDnsDb {
   /// Number of distinct IPs with at least one observation.
   std::size_t distinct_ip_count() const;
 
-  /// Enumerates one index in unspecified order (used by the sharded store's
-  /// absorb and merged save paths).
-  void visit(PdnsIndexKind kind,
-             const std::function<void(std::uint32_t key, std::span<const Day> days)>& fn) const;
-
-  /// Low-level merge: folds sorted-or-not `days` for `key` into one index.
-  /// Idempotent per (key, day); does not touch observation_count().
-  void merge_index_days(PdnsIndexKind kind, std::uint32_t key, std::span<const Day> days);
-
-  /// Overrides the stored observation counter. Merge/absorb paths only —
-  /// normal ingest maintains the counter through add_observation().
-  void set_observation_count(std::size_t count) { observations_ = count; }
+  /// Folds another database's day indexes into this one. Idempotent on
+  /// the indexes; observation_count() becomes max(current, other count) so
+  /// repeat absorbs of the same snapshot do not double-count.
+  void absorb(const PassiveDnsDb& other);
 
   /// Text serialization of the malware/unknown indexes, prefixed with the
   /// versioned `segf1 pdns <version>` header (util/serialize.h). load()
-  /// also accepts headerless legacy streams.
+  /// requires that header and throws util::ParseError on headerless
+  /// streams.
   void save(std::ostream& out) const;
   static PassiveDnsDb load(std::istream& in);
 
-  static constexpr int kFormatVersion = 2;  ///< 2 = segf1 header; 1 = legacy
+  static constexpr int kFormatVersion = 2;  ///< 2 = segf1 header
 
  private:
   // Sorted day lists per key; days are appended mostly in order (the
@@ -84,6 +73,7 @@ class PassiveDnsDb {
   using DayIndex = std::unordered_map<std::uint32_t, std::vector<Day>>;
 
   static void insert_day(std::vector<Day>& days, Day day);
+  static void merge_index(DayIndex& into, const DayIndex& from);
   static bool any_in_range(const DayIndex& index, std::uint32_t key, Day from, Day to);
 
   DayIndex ip_malware_;
@@ -92,5 +82,8 @@ class PassiveDnsDb {
   DayIndex prefix_unknown_;
   std::size_t observations_ = 0;
 };
+
+/// Old spelling of the passive DNS store, kept only for perfbench/driver.cpp.
+using ShardedPassiveDnsDb = PassiveDnsDb;
 
 }  // namespace seg::dns

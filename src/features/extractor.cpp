@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/obs/metrics.h"
 #include "util/obs/trace.h"
 #include "util/parallel.h"
 #include "util/require.h"
@@ -11,16 +12,6 @@ namespace seg::features {
 FeatureExtractor::FeatureExtractor(graph::GraphView graph,
                                    const dns::DomainActivityIndex& activity,
                                    const dns::PassiveDnsDb& pdns, FeatureConfig config)
-    : graph_(graph), activity_(&activity), pdns_(&pdns), config_(config) {
-  util::require(config_.activity_window_days > 0,
-                "FeatureExtractor: activity window must be positive");
-  util::require(config_.pdns_window_days > 0, "FeatureExtractor: pDNS window must be positive");
-  precompute_machine_degrees();
-}
-
-FeatureExtractor::FeatureExtractor(graph::GraphView graph,
-                                   const dns::ShardedActivityIndex& activity,
-                                   const dns::ShardedPassiveDnsDb& pdns, FeatureConfig config)
     : graph_(graph), config_(config) {
   util::require(config_.activity_window_days > 0,
                 "FeatureExtractor: activity window must be positive");
@@ -28,16 +19,6 @@ FeatureExtractor::FeatureExtractor(graph::GraphView graph,
   precompute_machine_degrees();
   precompute_history(activity, pdns);
 }
-
-FeatureExtractor::FeatureExtractor(const graph::MachineDomainGraph& graph,
-                                   const dns::DomainActivityIndex& activity,
-                                   const dns::PassiveDnsDb& pdns, FeatureConfig config)
-    : FeatureExtractor(graph.view(), activity, pdns, config) {}
-
-FeatureExtractor::FeatureExtractor(const graph::MachineDomainGraph& graph,
-                                   const dns::ShardedActivityIndex& activity,
-                                   const dns::ShardedPassiveDnsDb& pdns, FeatureConfig config)
-    : FeatureExtractor(graph.view(), activity, pdns, config) {}
 
 void FeatureExtractor::precompute_machine_degrees() {
   machine_malware_degree_.assign(graph_.machine_count(), 0);
@@ -50,39 +31,32 @@ void FeatureExtractor::precompute_machine_degrees() {
   }
 }
 
-void FeatureExtractor::precompute_history(const dns::ShardedActivityIndex& activity,
-                                          const dns::ShardedPassiveDnsDb& pdns) {
+void FeatureExtractor::precompute_history(const dns::DomainActivityIndex& activity,
+                                          const dns::PassiveDnsDb& pdns) {
   SEG_SPAN("features/precompute_history");
   const std::size_t num_domains = graph_.domain_count();
   const std::size_t num_e2lds = graph_.e2ld_count();
   const dns::Day t_now = graph_.day();
   const dns::Day from = t_now - config_.activity_window_days + 1;
 
-  // --- F2: one batched lookup covering every FQDN and every distinct e2LD.
-  std::vector<dns::ShardedActivityIndex::Query> activity_queries;
-  activity_queries.reserve(num_domains + num_e2lds);
-  for (graph::DomainId d = 0; d < num_domains; ++d) {
-    activity_queries.push_back({graph_.domain_name(d), from, t_now, t_now});
-  }
-  for (graph::E2ldId e = 0; e < num_e2lds; ++e) {
-    activity_queries.push_back({graph_.e2ld_name(e), from, t_now, t_now});
-  }
-  const auto activity_answers = activity.query_batch(activity_queries);
-  fqdn_active_.resize(num_domains);
-  fqdn_consec_.resize(num_domains);
-  e2ld_active_.resize(num_e2lds);
-  e2ld_consec_.resize(num_e2lds);
-  for (graph::DomainId d = 0; d < num_domains; ++d) {
-    fqdn_active_[d] = activity_answers[d].active_days;
-    fqdn_consec_[d] = activity_answers[d].consecutive_days;
-  }
-  for (graph::E2ldId e = 0; e < num_e2lds; ++e) {
-    e2ld_active_[e] = activity_answers[num_domains + e].active_days;
-    e2ld_consec_[e] = activity_answers[num_domains + e].consecutive_days;
+  // --- F2: one lookup per FQDN and per distinct e2LD, over
+  // [t_now - n + 1, t_now].
+  f2_.resize(num_domains + num_e2lds);
+  {
+    SEG_SPAN("dns/activity_query_batch");
+    obs::Registry::instance().counter("seg_activity_queries_total").add(f2_.size());
+    util::parallel_for(f2_.size(), [&](std::size_t i) {
+      const auto name =
+          i < num_domains ? graph_.domain_name(static_cast<graph::DomainId>(i))
+                          : graph_.e2ld_name(static_cast<graph::E2ldId>(i - num_domains));
+      f2_[i] = {static_cast<double>(activity.active_days(name, from, t_now)),
+                static_cast<double>(activity.consecutive_days_ending(name, t_now))};
+    });
   }
 
-  // --- F3: one batched lookup per distinct resolved IP and per distinct
-  // /24, then a parallel per-domain aggregation over the shared answers.
+  // --- F3: one lookup per distinct resolved IP and per distinct /24 over
+  // the W days strictly before t_now, then a parallel per-domain
+  // aggregation over the shared answers.
   const dns::Day w_from = t_now - config_.pdns_window_days;
   const dns::Day w_to = t_now - 1;
   std::vector<dns::IpV4> distinct_ips;
@@ -101,25 +75,33 @@ void FeatureExtractor::precompute_history(const dns::ShardedActivityIndex& activ
       distinct_prefixes.push_back(representative);
     }
   }
-  std::vector<dns::ShardedPassiveDnsDb::AbuseQuery> pdns_queries;
-  pdns_queries.reserve(distinct_ips.size() + distinct_prefixes.size());
-  for (const auto ip : distinct_ips) {
-    pdns_queries.push_back({ip, w_from, w_to});
+  // {malware, unknown} flags: per IP for the first distinct_ips.size()
+  // entries, per /24 for the rest.
+  std::vector<std::array<std::uint8_t, 2>> abuse(distinct_ips.size() + distinct_prefixes.size());
+  {
+    SEG_SPAN("dns/pdns_query_batch");
+    obs::Registry::instance().counter("seg_pdns_queries_total").add(abuse.size());
+    util::parallel_for(abuse.size(), [&](std::size_t i) {
+      if (i < distinct_ips.size()) {
+        const auto ip = distinct_ips[i];
+        abuse[i] = {static_cast<std::uint8_t>(pdns.ip_malware_associated(ip, w_from, w_to)),
+                    static_cast<std::uint8_t>(pdns.ip_unknown_associated(ip, w_from, w_to))};
+      } else {
+        const auto prefix = distinct_prefixes[i - distinct_ips.size()];
+        abuse[i] = {
+            static_cast<std::uint8_t>(pdns.prefix_malware_associated(prefix, w_from, w_to)),
+            static_cast<std::uint8_t>(pdns.prefix_unknown_associated(prefix, w_from, w_to))};
+      }
+    });
   }
-  for (const auto prefix : distinct_prefixes) {
-    pdns_queries.push_back({prefix, w_from, w_to});
-  }
-  const auto pdns_answers = pdns.query_batch(pdns_queries);
-  const auto ip_answer = [&](dns::IpV4 ip) -> const dns::ShardedPassiveDnsDb::AbuseAnswer& {
+  const auto ip_flags = [&](dns::IpV4 ip) -> const std::array<std::uint8_t, 2>& {
     const auto it = std::lower_bound(distinct_ips.begin(), distinct_ips.end(), ip);
-    return pdns_answers[static_cast<std::size_t>(it - distinct_ips.begin())];
+    return abuse[static_cast<std::size_t>(it - distinct_ips.begin())];
   };
-  const auto prefix_answer =
-      [&](dns::IpV4 representative) -> const dns::ShardedPassiveDnsDb::AbuseAnswer& {
+  const auto prefix_flags = [&](dns::IpV4 representative) -> const std::array<std::uint8_t, 2>& {
     const auto it =
         std::lower_bound(distinct_prefixes.begin(), distinct_prefixes.end(), representative);
-    return pdns_answers[distinct_ips.size() +
-                        static_cast<std::size_t>(it - distinct_prefixes.begin())];
+    return abuse[distinct_ips.size() + static_cast<std::size_t>(it - distinct_prefixes.begin())];
   };
   f3_.assign(num_domains, {});
   util::parallel_for(num_domains, [&](std::size_t d) {
@@ -135,23 +117,22 @@ void FeatureExtractor::precompute_history(const dns::ShardedActivityIndex& activ
     std::uint32_t last_prefix = 0;
     bool have_prefix = false;
     for (const auto ip : ips) {  // sorted => prefixes dedupe in one pass
-      const auto& answer = ip_answer(ip);
-      ip_malware += answer.ip_malware;
-      ip_unknown += answer.ip_unknown;
+      const auto& flags = ip_flags(ip);
+      ip_malware += flags[0];
+      ip_unknown += flags[1];
       if (!have_prefix || ip.prefix24() != last_prefix) {
         have_prefix = true;
         last_prefix = ip.prefix24();
         ++prefix_count;
-        const auto& prefix_flags = prefix_answer(dns::IpV4(last_prefix));
-        prefix_malware += prefix_flags.prefix_malware;
-        prefix_unknown += prefix_flags.prefix_unknown;
+        const auto& prefix = prefix_flags(dns::IpV4(last_prefix));
+        prefix_malware += prefix[0];
+        prefix_unknown += prefix[1];
       }
     }
     f3_[d] = {static_cast<double>(ip_malware) / static_cast<double>(ips.size()),
               static_cast<double>(prefix_malware) / static_cast<double>(prefix_count),
               static_cast<double>(ip_unknown), static_cast<double>(prefix_unknown)};
   });
-  precomputed_ = true;
 }
 
 FeatureVector FeatureExtractor::extract(graph::DomainId d) const {
@@ -190,63 +171,17 @@ FeatureVector FeatureExtractor::extract_impl(graph::DomainId d, bool hide_label)
   }
   features[kTotalMachines] = static_cast<double>(total);
 
-  // --- F2: domain activity over [t_now - n + 1, t_now].
-  if (precomputed_) {
-    // Sharded mode: history was batch-queried at construction; F2/F3 do
-    // not depend on hide_label, so the precomputed values serve both modes.
-    const auto e = graph_.domain_e2ld(d);
-    features[kFqdnActiveDays] = fqdn_active_[d];
-    features[kFqdnConsecutiveDays] = fqdn_consec_[d];
-    features[kE2ldActiveDays] = e2ld_active_[e];
-    features[kE2ldConsecutiveDays] = e2ld_consec_[e];
-    features[kIpMalwareFraction] = f3_[d][0];
-    features[kPrefixMalwareFraction] = f3_[d][1];
-    features[kIpUnknownCount] = f3_[d][2];
-    features[kPrefixUnknownCount] = f3_[d][3];
-    return features;
-  }
-  const dns::Day t_now = graph_.day();
-  const dns::Day from = t_now - config_.activity_window_days + 1;
-  const auto fqdn = graph_.domain_name(d);
-  const auto e2ld = graph_.e2ld_name(graph_.domain_e2ld(d));
-  features[kFqdnActiveDays] = activity_->active_days(fqdn, from, t_now);
-  features[kFqdnConsecutiveDays] = activity_->consecutive_days_ending(fqdn, t_now);
-  features[kE2ldActiveDays] = activity_->active_days(e2ld, from, t_now);
-  features[kE2ldConsecutiveDays] = activity_->consecutive_days_ending(e2ld, t_now);
-
-  // --- F3: IP abuse over the W days strictly before t_now.
-  const dns::Day w_from = t_now - config_.pdns_window_days;
-  const dns::Day w_to = t_now - 1;
-  const auto ips = graph_.resolved_ips(d);
-  if (!ips.empty()) {
-    std::size_t ip_malware = 0;
-    std::size_t ip_unknown = 0;
-    for (const auto ip : ips) {
-      ip_malware += pdns_->ip_malware_associated(ip, w_from, w_to) ? 1 : 0;
-      ip_unknown += pdns_->ip_unknown_associated(ip, w_from, w_to) ? 1 : 0;
-    }
-    // Distinct /24 prefixes of A.
-    std::vector<std::uint32_t> prefixes;
-    prefixes.reserve(ips.size());
-    for (const auto ip : ips) {
-      prefixes.push_back(ip.prefix24());
-    }
-    std::sort(prefixes.begin(), prefixes.end());
-    prefixes.erase(std::unique(prefixes.begin(), prefixes.end()), prefixes.end());
-    std::size_t prefix_malware = 0;
-    std::size_t prefix_unknown = 0;
-    for (const auto prefix : prefixes) {
-      const dns::IpV4 representative(prefix);
-      prefix_malware += pdns_->prefix_malware_associated(representative, w_from, w_to) ? 1 : 0;
-      prefix_unknown += pdns_->prefix_unknown_associated(representative, w_from, w_to) ? 1 : 0;
-    }
-    features[kIpMalwareFraction] =
-        static_cast<double>(ip_malware) / static_cast<double>(ips.size());
-    features[kPrefixMalwareFraction] =
-        static_cast<double>(prefix_malware) / static_cast<double>(prefixes.size());
-    features[kIpUnknownCount] = static_cast<double>(ip_unknown);
-    features[kPrefixUnknownCount] = static_cast<double>(prefix_unknown);
-  }
+  // --- F2/F3: precomputed at construction.
+  const auto& fqdn = f2_[d];
+  const auto& e2ld = f2_[graph_.domain_count() + graph_.domain_e2ld(d)];
+  features[kFqdnActiveDays] = fqdn[0];
+  features[kFqdnConsecutiveDays] = fqdn[1];
+  features[kE2ldActiveDays] = e2ld[0];
+  features[kE2ldConsecutiveDays] = e2ld[1];
+  features[kIpMalwareFraction] = f3_[d][0];
+  features[kPrefixMalwareFraction] = f3_[d][1];
+  features[kIpUnknownCount] = f3_[d][2];
+  features[kPrefixUnknownCount] = f3_[d][3];
   return features;
 }
 

@@ -17,11 +17,11 @@
 #pragma once
 
 #include <array>
-#include <span>
+#include <cstdint>
+#include <vector>
 
 #include "dns/activity_index.h"
 #include "dns/pdns.h"
-#include "dns/sharded_store.h"
 #include "features/feature_config.h"
 #include "graph/graph_view.h"
 
@@ -31,27 +31,18 @@ using FeatureVector = std::array<double, kNumFeatures>;
 
 class FeatureExtractor {
  public:
-  /// All referenced objects (including the view's backing graph) must
-  /// outlive the extractor. `graph` must be labeled (and normally pruned).
-  /// GraphView overloads accept any backing — a heap graph's view() or an
-  /// mmap-resident graph from graph::map_graph().
+  /// `graph` must be labeled (and normally pruned); it may be any backing —
+  /// a heap graph (converted to its view) or an mmap-resident graph from
+  /// graph::map_graph() — and its storage must outlive the extractor.
+  ///
+  /// Every F2/F3 history lookup for every graph domain runs here, in
+  /// parallel on the shared pool, so the stores are read only during
+  /// construction and the extract() calls afterwards touch no store (they
+  /// may run in parallel). Because of that pool use, an extractor must be
+  /// constructed from the top level, never inside a parallel_for body
+  /// (see util/parallel.h).
   FeatureExtractor(graph::GraphView graph, const dns::DomainActivityIndex& activity,
                    const dns::PassiveDnsDb& pdns, FeatureConfig config = {});
-  FeatureExtractor(const graph::MachineDomainGraph& graph,
-                   const dns::DomainActivityIndex& activity, const dns::PassiveDnsDb& pdns,
-                   FeatureConfig config = {});
-
-  /// Sharded-store constructor: the F2/F3 history lookups for every graph
-  /// domain are precomputed here through the stores' parallel query_batch
-  /// (valid for both extract modes — hiding a label only changes F1).
-  /// Must be constructed from the top level, never inside a parallel_for
-  /// body (the batch queries use the shared pool); the per-domain
-  /// extract() calls afterwards touch no store and may run in parallel.
-  FeatureExtractor(graph::GraphView graph, const dns::ShardedActivityIndex& activity,
-                   const dns::ShardedPassiveDnsDb& pdns, FeatureConfig config = {});
-  FeatureExtractor(const graph::MachineDomainGraph& graph,
-                   const dns::ShardedActivityIndex& activity,
-                   const dns::ShardedPassiveDnsDb& pdns, FeatureConfig config = {});
 
   /// Features of domain `d` using current graph labels as-is.
   FeatureVector extract(graph::DomainId d) const;
@@ -67,25 +58,21 @@ class FeatureExtractor {
  private:
   FeatureVector extract_impl(graph::DomainId d, bool hide_label) const;
   void precompute_machine_degrees();
-  void precompute_history(const dns::ShardedActivityIndex& activity,
-                          const dns::ShardedPassiveDnsDb& pdns);
+  void precompute_history(const dns::DomainActivityIndex& activity,
+                          const dns::PassiveDnsDb& pdns);
 
   graph::GraphView graph_;
-  const dns::DomainActivityIndex* activity_ = nullptr;  ///< null in sharded mode
-  const dns::PassiveDnsDb* pdns_ = nullptr;             ///< null in sharded mode
   FeatureConfig config_;
 
   // Per-machine count of queried malware-labeled domains, precomputed so
   // hiding a label is O(|S|) instead of O(sum of machine degrees).
   std::vector<std::uint32_t> machine_malware_degree_;
 
-  // Sharded-mode precomputed history. F2 by DomainId / E2ldId; F3 holds the
-  // four final feature values by DomainId.
-  bool precomputed_ = false;
-  std::vector<double> fqdn_active_;
-  std::vector<double> fqdn_consec_;
-  std::vector<double> e2ld_active_;
-  std::vector<double> e2ld_consec_;
+  // Precomputed history; F2/F3 do not depend on hide_label, so one set
+  // serves both extract modes. F2 holds {active days, consecutive days}
+  // for every FQDN (by DomainId) followed by every e2LD (at domain_count()
+  // + E2ldId); F3 holds the four final feature values by DomainId.
+  std::vector<std::array<double, 2>> f2_;
   std::vector<std::array<double, 4>> f3_;
 };
 

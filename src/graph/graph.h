@@ -85,11 +85,8 @@ class MachineDomainGraph {
   std::size_t count_domains_with(Label label) const;
   std::size_t count_machines_with(Label label) const;
 
-  /// A backing-agnostic read view over this graph (graph_view.h). The view
-  /// references this graph's storage and must not outlive it.
-  GraphView view() const;
-
  private:
+  friend class GraphView;  // converting constructor reads the vectors
   friend class GraphBuilder;
   friend class ShardedGraphBuilder;
   friend MachineDomainGraph prune_impl(const GraphView&,

@@ -4,7 +4,9 @@
 // adjacency in both directions, resolved-IP sets, e2LD annotations,
 // labels — as a non-owning bundle of spans. Two backings produce views:
 //
-//   - MachineDomainGraph::view() over the heap-resident vectors;
+//   - GraphView's converting constructor over a MachineDomainGraph's
+//     heap-resident vectors (implicit, so a heap graph is accepted
+//     wherever a view is; binding a temporary graph is a compile error);
 //   - graph::map_graph() over a memory-mapped `segf1 graphc` packed file
 //     (graph_compressed.h), where every accessor reads the mapping
 //     directly — zero-copy load.
@@ -72,6 +74,13 @@ class NameTableView {
 
 class GraphView {
  public:
+  GraphView() = default;
+
+  /// A view over a heap graph's storage; it must not outlive `graph`.
+  GraphView(const MachineDomainGraph& graph);  // implicit by design
+  /// A view of a temporary would dangle as soon as the full expression ends.
+  GraphView(MachineDomainGraph&&) = delete;
+
   std::size_t machine_count() const { return machine_names_.size(); }
   std::size_t domain_count() const { return domain_names_.size(); }
   std::size_t edge_count() const { return machine_targets_.size(); }
@@ -136,7 +145,6 @@ class GraphView {
   std::span<const Label> domain_labels() const { return domain_labels_; }
 
  private:
-  friend class MachineDomainGraph;
   friend GraphView make_packed_view(dns::Day day, NameTableView machines,
                                     NameTableView domains, NameTableView e2lds,
                                     std::span<const E2ldId> domain_e2ld,
@@ -193,22 +201,19 @@ inline GraphView make_packed_view(dns::Day day, NameTableView machines, NameTabl
   return view;
 }
 
-inline GraphView MachineDomainGraph::view() const {
-  GraphView v;
-  v.day_ = day_;
-  v.machine_names_ = NameTableView::from_strings(machine_names_);
-  v.domain_names_ = NameTableView::from_strings(domain_names_);
-  v.e2ld_names_ = NameTableView::from_strings(e2ld_names_);
-  v.domain_e2ld_ = domain_e2ld_;
-  v.machine_offsets_ = machine_offsets_;
-  v.machine_targets_ = machine_targets_;
-  v.domain_offsets_ = domain_offsets_;
-  v.domain_targets_ = domain_targets_;
-  v.ip_offsets_ = ip_offsets_;
-  v.resolved_ips_ = resolved_ips_;
-  v.machine_labels_ = machine_labels_;
-  v.domain_labels_ = domain_labels_;
-  return v;
-}
+inline GraphView::GraphView(const MachineDomainGraph& graph)
+    : day_(graph.day_),
+      machine_names_(NameTableView::from_strings(graph.machine_names_)),
+      domain_names_(NameTableView::from_strings(graph.domain_names_)),
+      e2ld_names_(NameTableView::from_strings(graph.e2ld_names_)),
+      domain_e2ld_(graph.domain_e2ld_),
+      machine_offsets_(graph.machine_offsets_),
+      machine_targets_(graph.machine_targets_),
+      domain_offsets_(graph.domain_offsets_),
+      domain_targets_(graph.domain_targets_),
+      ip_offsets_(graph.ip_offsets_),
+      resolved_ips_(graph.resolved_ips_),
+      machine_labels_(graph.machine_labels_),
+      domain_labels_(graph.domain_labels_) {}
 
 }  // namespace seg::graph

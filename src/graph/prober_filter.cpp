@@ -47,7 +47,7 @@ MachineDomainGraph remove_probers(const MachineDomainGraph& graph,
     stats->machines_removed = removed;
   }
   const std::vector<std::uint8_t> keep_domain(graph.domain_count(), 1);
-  return prune_impl(graph.view(), keep_machine, keep_domain);
+  return prune_impl(graph, keep_machine, keep_domain);
 }
 
 }  // namespace seg::graph

@@ -11,6 +11,11 @@ trap 'rm -rf "$DIR"' EXIT
 test -f "$DIR/day0.bin"
 test -f "$DIR/whitelist.txt"
 
+# simgen creates a missing --out directory, parents included.
+"$CLI" simgen --out "$DIR/not/yet/there" --days 1 --isp 0 >/dev/null
+test -f "$DIR/not/yet/there/day0.tsv"
+test -f "$DIR/not/yet/there/pdns.txt"
+
 # --input sniffs the SEGTRC1 magic; no --format needed.
 "$CLI" train --input "$DIR/day0.bin" \
   --blacklist "$DIR/blacklist-day0.txt" --whitelist "$DIR/whitelist.txt" \

@@ -317,16 +317,18 @@ TEST_F(PipelineTest, ReportAttributionMatchesGraphLookup) {
   const auto test_day = pipeline.ingest_day(test_trace, test_blacklist, whitelist);
   const auto report = pipeline.classify(test_day);
 
-  // Threshold 0 keeps every scored domain, exercising the full CSR.
+  // Threshold 0 keeps every scored domain, exercising the full CSR; each
+  // captured machine list must equal the graph's adjacency for the domain.
   const auto captured = report.detections_at(0.0);
-  const auto via_graph = report.detections_at(0.0, test_day.graph);
-  ASSERT_EQ(captured.size(), via_graph.size());
   ASSERT_EQ(captured.size(), report.scores.size());
-  for (std::size_t i = 0; i < captured.size(); ++i) {
-    EXPECT_EQ(captured[i].domain.name, via_graph[i].domain.name);
-    EXPECT_EQ(captured[i].domain.score, via_graph[i].domain.score);
-    EXPECT_EQ(captured[i].machines, via_graph[i].machines);
-    EXPECT_FALSE(captured[i].machines.empty());
+  for (const auto& detection : captured) {
+    std::vector<std::string> via_graph;
+    for (const auto m : test_day.graph.machines_of(detection.domain.id)) {
+      via_graph.emplace_back(test_day.graph.machine_name(m));
+    }
+    EXPECT_EQ(detection.domain.name, test_day.graph.domain_name(detection.domain.id));
+    EXPECT_EQ(detection.machines, via_graph);
+    EXPECT_FALSE(detection.machines.empty());
   }
 }
 

@@ -56,10 +56,9 @@ TEST_F(SegugioIoTest, ForestModelRoundTrips) {
   }
 }
 
-TEST_F(SegugioIoTest, LegacyHeaderlessModelStreamLoads) {
-  // Model files written before the `segf1` header existed start directly
-  // with the `segugio 1` body line; the body is otherwise unchanged, so a
-  // legacy stream is today's bytes minus the header with a v1 body tag.
+TEST_F(SegugioIoTest, HeaderlessModelStreamThrows) {
+  // A model stream without its `segf1 segugio-model` header (the
+  // pre-header format) is rejected as malformed, whatever its body says.
   SegugioConfig config;
   config.forest.num_trees = 10;
   config.forest.num_threads = 1;
@@ -73,14 +72,10 @@ TEST_F(SegugioIoTest, LegacyHeaderlessModelStreamLoads) {
   bytes = bytes.substr(bytes.find('\n') + 1);  // drop the segf1 header
   const std::string modern_tag = "segugio " + std::to_string(Segugio::kModelFormatVersion);
   ASSERT_EQ(bytes.rfind(modern_tag, 0), 0u);
-  bytes = "segugio 1" + bytes.substr(modern_tag.size());
-
-  std::istringstream legacy(bytes);
-  auto restored = Segugio::load(legacy);
-  EXPECT_TRUE(restored.is_trained());
-  features::FeatureVector probe{};
-  probe[features::kTotalMachines] = 3.0;
-  EXPECT_DOUBLE_EQ(restored.score(probe), segugio.score(probe));
+  std::istringstream headerless(bytes);
+  EXPECT_THROW(Segugio::load(headerless), util::ParseError);
+  std::istringstream old_body("segugio 1" + bytes.substr(modern_tag.size()));
+  EXPECT_THROW(Segugio::load(old_body), util::ParseError);
 }
 
 TEST_F(SegugioIoTest, LogisticModelRoundTrips) {

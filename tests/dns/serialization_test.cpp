@@ -73,31 +73,27 @@ TEST(PdnsIoTest, LoadRejectsGarbage) {
   EXPECT_THROW(PassiveDnsDb::load(missing_section), util::ParseError);
 }
 
-// Streams written before the `segf1` format header existed must keep
-// loading: the header-less body is the legacy v1 format.
-TEST(ActivityIndexIoTest, LegacyHeaderlessStreamLoads) {
+// Every store stream starts with its `segf1` header; a headerless body (the
+// pre-header format) is malformed input, not a legacy version.
+TEST(ActivityIndexIoTest, HeaderlessStreamThrows) {
   DomainActivityIndex index;
   index.mark_active("a.com", 3);
   index.mark_active("a.com", 4);
   std::stringstream blob;
   index.save(blob);
   auto bytes = blob.str();
-  std::istringstream legacy(bytes.substr(bytes.find('\n') + 1));
-  const auto loaded = DomainActivityIndex::load(legacy);
-  EXPECT_EQ(loaded.active_days("a.com", 0, 10), 2);
-  EXPECT_EQ(loaded.consecutive_days_ending("a.com", 4), 2);
+  std::istringstream headerless(bytes.substr(bytes.find('\n') + 1));
+  EXPECT_THROW(DomainActivityIndex::load(headerless), util::ParseError);
 }
 
-TEST(PdnsIoTest, LegacyHeaderlessStreamLoads) {
+TEST(PdnsIoTest, HeaderlessStreamThrows) {
   PassiveDnsDb db;
   db.add_observation(-3, IpV4::parse("1.2.3.4"), PdnsAssociation::kMalware);
   std::stringstream blob;
   db.save(blob);
   auto bytes = blob.str();
-  std::istringstream legacy(bytes.substr(bytes.find('\n') + 1));
-  const auto loaded = PassiveDnsDb::load(legacy);
-  EXPECT_EQ(loaded.observation_count(), 1u);
-  EXPECT_TRUE(loaded.ip_malware_associated(IpV4::parse("1.2.3.4"), -10, 0));
+  std::istringstream headerless(bytes.substr(bytes.find('\n') + 1));
+  EXPECT_THROW(PassiveDnsDb::load(headerless), util::ParseError);
 }
 
 }  // namespace

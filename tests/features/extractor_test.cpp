@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <type_traits>
+#include <vector>
+
 #include "graph/labeling.h"
+#include "util/parallel.h"
 #include "util/require.h"
+#include "util/rng.h"
 
 namespace seg::features {
 namespace {
@@ -11,6 +18,12 @@ namespace {
 using graph::GraphBuilder;
 using graph::Label;
 using graph::NameSet;
+
+// A view borrows its graph's storage, so binding one to a temporary graph
+// must not compile (it would dangle at the end of the full expression).
+static_assert(std::is_constructible_v<graph::GraphView, const graph::MachineDomainGraph&>);
+static_assert(!std::is_constructible_v<graph::GraphView, graph::MachineDomainGraph&&>);
+static_assert(!std::is_constructible_v<graph::GraphView, graph::MachineDomainGraph>);
 
 class ExtractorTest : public ::testing::Test {
  protected:
@@ -220,6 +233,134 @@ TEST_F(ExtractorTest, DomainIdOutOfRangeThrows) {
   FeatureExtractor extractor(graph, activity_, pdns_);
   EXPECT_THROW(extractor.extract(static_cast<graph::DomainId>(graph.domain_count())),
                util::PreconditionError);
+}
+
+// F2/F3 straight from the stores, one name or IP at a time: the
+// definition the extractor's parallel precompute must reproduce exactly.
+FeatureVector history_by_lookup(const graph::MachineDomainGraph& graph, graph::DomainId d,
+                                const dns::DomainActivityIndex& activity,
+                                const dns::PassiveDnsDb& pdns, const FeatureConfig& config) {
+  FeatureVector features{};
+  const dns::Day t_now = graph.day();
+  const dns::Day from = t_now - config.activity_window_days + 1;
+  const auto fqdn = graph.domain_name(d);
+  const auto e2ld = graph.e2ld_name(graph.domain_e2ld(d));
+  features[kFqdnActiveDays] = activity.active_days(fqdn, from, t_now);
+  features[kFqdnConsecutiveDays] = activity.consecutive_days_ending(fqdn, t_now);
+  features[kE2ldActiveDays] = activity.active_days(e2ld, from, t_now);
+  features[kE2ldConsecutiveDays] = activity.consecutive_days_ending(e2ld, t_now);
+
+  const dns::Day w_from = t_now - config.pdns_window_days;
+  const dns::Day w_to = t_now - 1;
+  const auto ips = graph.resolved_ips(d);
+  if (ips.empty()) {
+    return features;
+  }
+  std::size_t ip_malware = 0;
+  std::size_t ip_unknown = 0;
+  std::vector<std::uint32_t> prefixes;
+  for (const auto ip : ips) {
+    ip_malware += pdns.ip_malware_associated(ip, w_from, w_to) ? 1 : 0;
+    ip_unknown += pdns.ip_unknown_associated(ip, w_from, w_to) ? 1 : 0;
+    prefixes.push_back(ip.prefix24());
+  }
+  std::sort(prefixes.begin(), prefixes.end());
+  prefixes.erase(std::unique(prefixes.begin(), prefixes.end()), prefixes.end());
+  std::size_t prefix_malware = 0;
+  std::size_t prefix_unknown = 0;
+  for (const auto prefix : prefixes) {
+    const dns::IpV4 representative(prefix);
+    prefix_malware += pdns.prefix_malware_associated(representative, w_from, w_to) ? 1 : 0;
+    prefix_unknown += pdns.prefix_unknown_associated(representative, w_from, w_to) ? 1 : 0;
+  }
+  features[kIpMalwareFraction] =
+      static_cast<double>(ip_malware) / static_cast<double>(ips.size());
+  features[kPrefixMalwareFraction] =
+      static_cast<double>(prefix_malware) / static_cast<double>(prefixes.size());
+  features[kIpUnknownCount] = static_cast<double>(ip_unknown);
+  features[kPrefixUnknownCount] = static_cast<double>(prefix_unknown);
+  return features;
+}
+
+TEST(ExtractorHistoryParityTest, MatchesPerNameStoreLookupsAtOneAndFourThreads) {
+  const auto psl = dns::PublicSuffixList::with_default_rules();
+  util::Rng rng(23);
+  constexpr dns::Day kDay = 60;
+  // IPs drawn from a handful of /24s so prefix flags aggregate siblings.
+  const auto random_ip = [&rng] {
+    const auto prefix = static_cast<std::uint32_t>(rng.next_below(6)) << 8;
+    return dns::IpV4((0x0A000000u | prefix) | static_cast<std::uint32_t>(rng.next_below(8)));
+  };
+  std::vector<std::string> domains;
+  for (int i = 0; i < 120; ++i) {
+    domains.push_back("h" + std::to_string(i) + ".zone" + std::to_string(i % 15) + ".com");
+  }
+
+  dns::DayTrace trace;
+  trace.day = kDay;
+  for (int i = 0; i < 1500; ++i) {
+    dns::QueryRecord record;
+    record.day = kDay;
+    record.machine = "m" + std::to_string(rng.next_below(80));
+    record.qname = domains[rng.next_below(domains.size())];
+    for (std::uint64_t k = rng.next_below(4); k > 0; --k) {
+      record.resolved_ips.push_back(random_ip());
+    }
+    trace.records.push_back(std::move(record));
+  }
+  GraphBuilder builder(psl);
+  builder.add_trace(trace);
+  auto graph = builder.build();
+  NameSet blacklist;
+  NameSet whitelist;
+  for (int i = 0; i < 120; i += 9) {
+    blacklist.insert(domains[static_cast<std::size_t>(i)]);
+  }
+  whitelist.insert("zone3.com");
+  apply_labels(graph, blacklist, whitelist);
+
+  dns::DomainActivityIndex activity;
+  dns::PassiveDnsDb pdns;
+  constexpr dns::PdnsAssociation kKinds[] = {dns::PdnsAssociation::kMalware,
+                                             dns::PdnsAssociation::kUnknown,
+                                             dns::PdnsAssociation::kBenign};
+  for (int i = 0; i < 3000; ++i) {
+    const auto& name = domains[rng.next_below(domains.size())];
+    const auto day = static_cast<dns::Day>(rng.next_int(kDay - 25, kDay + 2));
+    activity.mark_active(name, day);
+    activity.mark_active(name.substr(name.find('.') + 1), day);
+    pdns.add_observation(static_cast<dns::Day>(rng.next_int(kDay - 200, kDay + 2)),
+                         random_ip(), kKinds[rng.next_below(3)]);
+  }
+
+  const FeatureConfig config;
+  std::vector<FeatureVector> reference;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    util::set_parallelism(threads);
+    const FeatureExtractor extractor(graph, activity, pdns, config);
+    for (graph::DomainId d = 0; d < graph.domain_count(); ++d) {
+      const auto expected = history_by_lookup(graph, d, activity, pdns, config);
+      const auto features = extractor.extract(d);
+      const auto hidden = extractor.extract_hiding_label(d);
+      for (std::size_t f = kFqdnActiveDays; f < kNumFeatures; ++f) {
+        EXPECT_EQ(features[f], expected[f]) << graph.domain_name(d) << " feature " << f;
+        EXPECT_EQ(hidden[f], expected[f]) << graph.domain_name(d) << " feature " << f;
+      }
+      if (threads == 1) {
+        reference.push_back(features);
+      } else {
+        EXPECT_EQ(features, reference[d]) << graph.domain_name(d);
+      }
+    }
+  }
+  util::set_parallelism(0);
+  // The workload must exercise every history feature, not just zeros.
+  ASSERT_EQ(reference.size(), graph.domain_count());
+  for (std::size_t f = kFqdnActiveDays; f < kNumFeatures; ++f) {
+    EXPECT_TRUE(std::any_of(reference.begin(), reference.end(),
+                            [f](const FeatureVector& v) { return v[f] != 0.0; }))
+        << "feature " << f << " is zero for every domain";
+  }
 }
 
 }  // namespace

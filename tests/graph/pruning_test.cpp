@@ -87,7 +87,8 @@ TEST_F(PruningTest, R2IsANoOpOnFlatDegreeDistributions) {
   add_active_machine(builder, "a", 10);
   add_active_machine(builder, "b", 10);
   PruneStats stats;
-  const auto pruned = prune(builder.build(), PruningConfig{}, &stats);
+  const auto built = builder.build();
+  const auto pruned = prune(built, PruningConfig{}, &stats);
   EXPECT_EQ(stats.machines_removed_r2, 0u);
   EXPECT_LT(pruned.find_machine("a"), pruned.machine_count());
 }

@@ -102,7 +102,8 @@ INSTANTIATE_TEST_SUITE_P(Configs, PruningInvariantTest,
 // Feature extraction invariants over every domain of a real graph.
 TEST(FeatureInvariantTest, AllDomainsProduceSaneFeatures) {
   auto& world = shared_world();
-  const auto graph = graph::prune(labeled_graph(1), graph::PruningConfig{});
+  const auto labeled = labeled_graph(1);
+  const auto graph = graph::prune(labeled, graph::PruningConfig{});
   const features::FeatureExtractor extractor(graph, world.activity(), world.pdns());
   const auto n = static_cast<dns::Day>(extractor.config().activity_window_days);
   for (graph::DomainId d = 0; d < graph.domain_count(); ++d) {
@@ -128,7 +129,8 @@ TEST(FeatureInvariantTest, AllDomainsProduceSaneFeatures) {
 
 TEST(FeatureInvariantTest, HidingALabelNeverRaisesTheInfectedFraction) {
   auto& world = shared_world();
-  const auto graph = graph::prune(labeled_graph(2), graph::PruningConfig{});
+  const auto labeled = labeled_graph(2);
+  const auto graph = graph::prune(labeled, graph::PruningConfig{});
   const features::FeatureExtractor extractor(graph, world.activity(), world.pdns());
   for (graph::DomainId d = 0; d < graph.domain_count(); ++d) {
     if (graph.domain_label(d) == graph::Label::kUnknown) {

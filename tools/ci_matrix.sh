@@ -392,17 +392,24 @@ run_config() {
     return 1
   fi
   if [ "${config}" = "thread" ]; then
-    # The streaming pipeline and sharded stores parallelize internally
-    # (query_batch, sharded build, parallel classify); run their suites
-    # explicitly under tsan so a filtered ctest invocation can't skip the
-    # race-contract coverage.
-    echo "=== [${config}] streaming pipeline + sharded store suites ==="
+    # The streaming pipeline and the extractor's history lookups
+    # parallelize internally (F2/F3 precompute over the shared pool,
+    # sharded build, parallel classify); run their suites explicitly under
+    # tsan so a filtered ctest invocation can't skip the race-contract
+    # coverage. The store absorb suites feed that lookup path.
+    echo "=== [${config}] streaming pipeline + history lookup suites ==="
     if ! "${build_dir}/tests/core_test" --gtest_filter='Pipeline*' >> "${log}" 2>&1; then
       echo "    pipeline tests FAILED under tsan (see ${log})"
       return 1
     fi
-    if ! "${build_dir}/tests/dns_test" --gtest_filter='Sharded*' >> "${log}" 2>&1; then
-      echo "    sharded store tests FAILED under tsan (see ${log})"
+    if ! "${build_dir}/tests/features_test" --gtest_filter='ExtractorHistoryParity*' \
+        >> "${log}" 2>&1; then
+      echo "    history lookup parity tests FAILED under tsan (see ${log})"
+      return 1
+    fi
+    if ! "${build_dir}/tests/dns_test" \
+        --gtest_filter='ActivityIndexAbsorb*:PassiveDnsDbAbsorb*' >> "${log}" 2>&1; then
+      echo "    store absorb tests FAILED under tsan (see ${log})"
       return 1
     fi
   fi

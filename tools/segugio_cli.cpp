@@ -7,7 +7,7 @@
 //       Generates N days of synthetic ISP traffic plus the supporting
 //       files: per-day query logs (in the requested trace format) and
 //       blacklist snapshots, the e2LD whitelist, the domain-activity
-//       index, and the passive-DNS store.
+//       index, and the passive-DNS store. DIR is created when missing.
 //
 //   segugio train --input FILE [--format sim|binlog|dnstap|pcap]
 //                 --blacklist FILE --whitelist FILE
@@ -64,6 +64,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -160,6 +161,7 @@ int cmd_simgen(const util::Args& args) {
   const auto days = args.get_int_or("days", 2);
   const auto isp = static_cast<std::size_t>(args.get_int_or("isp", 0));
   const auto scale = args.get_or("scale", "small");
+  std::filesystem::create_directories(out_dir);
 
   auto scenario = scale == "bench" ? sim::ScenarioConfig::bench() : sim::ScenarioConfig::small();
   scenario.seed = static_cast<std::uint64_t>(args.get_int_or("seed", scenario.seed));

@@ -31,7 +31,6 @@ std::unique_ptr<InputBundle> make_bundle(sim::World& world, std::size_t train_is
 core::SegugioConfig bench_config() {
   core::SegugioConfig config;
   config.forest.num_trees = 100;  // paper-style Random Forest
-  config.forest.num_threads = 0;  // use all cores
   return config;
 }
 

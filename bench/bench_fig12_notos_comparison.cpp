@@ -63,7 +63,6 @@ int main() {
   segugio.train(train_graph, world.activity(), world.pdns());
 
   baselines::NotosConfig notos_config;
-  notos_config.forest.num_threads = 0;
   baselines::NotosLikeClassifier notos(notos_config);
   notos.train(train_graph, world.activity(), world.pdns(), notos_blacklist, top_whitelist);
 

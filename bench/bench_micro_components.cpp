@@ -107,7 +107,6 @@ void BM_ForestScore(benchmark::State& state) {
   const features::FeatureExtractor extractor(graph, world.activity(), world.pdns());
   core::SegugioConfig config;
   config.forest.num_trees = static_cast<std::size_t>(state.range(0));
-  config.forest.num_threads = 1;
   core::Segugio segugio(config);
   segugio.train(graph, world.activity(), world.pdns());
   const auto features = extractor.extract(0);

@@ -18,7 +18,6 @@ int main() {
 
   core::SegugioConfig config;
   config.forest.num_trees = 60;
-  config.forest.num_threads = 1;
 
   // Train on ISP1 day 1, test on ISP2 day 6 (5-day gap).
   const auto train_trace = world.generate_day(0, 1);
@@ -48,7 +47,6 @@ int main() {
   // Model portability: serialize / deserialize a trained forest.
   ml::RandomForestConfig forest_config;
   forest_config.num_trees = 20;
-  forest_config.num_threads = 1;
   ml::RandomForest forest(forest_config);
   {
     // Train a stand-alone forest on the same task to demonstrate the

@@ -23,7 +23,6 @@ int main() {
   sim::World world{sim::ScenarioConfig::small()};
   core::SegugioConfig config;
   config.forest.num_trees = 60;
-  config.forest.num_threads = 1;
 
   constexpr dns::Day kFirstDay = 0;
   constexpr dns::Day kLastDay = 3;

@@ -24,7 +24,6 @@ int main() {
 
   core::SegugioConfig config;
   config.forest.num_trees = 60;
-  config.forest.num_threads = 1;
 
   // --- Day 0: learn. The trace enters through the streaming API: a
   // TraceSource wrapping the in-memory day, cut at day boundaries by

@@ -96,7 +96,6 @@ int main() {
   config.pruning.inactive_machine_max_degree = 2;
   config.pruning.popular_e2ld_fraction = 1.0;  // don't prune the popular sites
   config.forest.num_trees = 30;
-  config.forest.num_threads = 1;
 
   // --- Train on day 1.
   const auto day1 = make_day(1);

@@ -19,7 +19,6 @@ int main() {
   sim::World world{sim::ScenarioConfig::small()};
   core::SegugioConfig config;
   config.forest.num_trees = 60;
-  config.forest.num_threads = 1;
 
   const dns::Day day = 1;
   const auto trace = world.generate_day(0, day);

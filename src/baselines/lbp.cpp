@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/parallel.h"
 #include "util/require.h"
-#include "util/thread_pool.h"
 
 namespace seg::baselines {
 
@@ -89,7 +89,6 @@ LbpResult run_loopy_belief_propagation(const graph::MachineDomainGraph& graph,
   // The synchronous schedule makes every node's update independent within
   // a half-iteration, so both sweeps parallelize with identical results
   // for any thread count.
-  util::ThreadPool pool(config.num_threads);
   std::vector<double> machine_delta(num_machines, 0.0);
   std::vector<double> domain_delta(num_domains, 0.0);
 
@@ -127,7 +126,7 @@ LbpResult run_loopy_belief_propagation(const graph::MachineDomainGraph& graph,
 
   for (std::size_t iteration = 0; iteration < config.max_iterations; ++iteration) {
     // Machine -> domain messages.
-    pool.parallel_for(num_machines, [&](std::size_t m_index) {
+    util::parallel_for(num_machines, [&](std::size_t m_index) {
       const auto m = static_cast<graph::MachineId>(m_index);
       const auto base = machine_base[m];
       machine_delta[m] = update_node(
@@ -135,7 +134,7 @@ LbpResult run_loopy_belief_propagation(const graph::MachineDomainGraph& graph,
           [&](std::size_t k) { return dm_slot_of_md[base + k]; }, next_md, msg_md, msg_dm);
     });
     // Domain -> machine messages.
-    pool.parallel_for(num_domains, [&](std::size_t d_index) {
+    util::parallel_for(num_domains, [&](std::size_t d_index) {
       const auto d = static_cast<graph::DomainId>(d_index);
       const auto base = domain_base[d];
       domain_delta[d] = update_node(
@@ -160,7 +159,7 @@ LbpResult run_loopy_belief_propagation(const graph::MachineDomainGraph& graph,
   }
 
   // Beliefs.
-  pool.parallel_for(num_machines, [&](std::size_t m_index) {
+  util::parallel_for(num_machines, [&](std::size_t m_index) {
     const auto m = static_cast<graph::MachineId>(m_index);
     const auto [log_b, log_m] = log_potential(graph.machine_label(m), config);
     double sum_b = log_b;
@@ -176,7 +175,7 @@ LbpResult run_loopy_belief_propagation(const graph::MachineDomainGraph& graph,
     const double pm = std::exp(sum_m - shift);
     result.machine_belief[m] = pm / (pb + pm);
   });
-  pool.parallel_for(num_domains, [&](std::size_t d_index) {
+  util::parallel_for(num_domains, [&](std::size_t d_index) {
     const auto d = static_cast<graph::DomainId>(d_index);
     const auto [log_b, log_m] = log_potential(graph.domain_label(d), config);
     double sum_b = log_b;

@@ -58,23 +58,6 @@ PreparedDay Pipeline::prepare_one_day(const dns::DayTrace& trace,
   return day;
 }
 
-PreparedDay Pipeline::ingest_day(const dns::DayTrace& trace, const graph::NameSet& cc_blacklist,
-                                 const graph::NameSet& e2ld_whitelist) {
-  if (trace.records.empty()) {
-    // An empty day still yields an (empty) prepared graph; the stream path
-    // below would never fire its day callback.
-    return prepare_one_day(trace, cc_blacklist, e2ld_whitelist);
-  }
-  dns::DayTraceSource source(trace);
-  PreparedDay result;
-  IngestOptions options;
-  options.use_queue = false;  // already in memory: nothing to overlap with
-  ingest_stream(
-      source, [&cc_blacklist](dns::Day) -> const graph::NameSet& { return cc_blacklist; },
-      e2ld_whitelist, [&result](PreparedDay&& day) { result = std::move(day); }, options);
-  return result;
-}
-
 IngestStats Pipeline::ingest_stream(dns::TraceSource& source,
                                     const BlacklistProvider& cc_blacklist,
                                     const graph::NameSet& e2ld_whitelist,

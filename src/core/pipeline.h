@@ -10,9 +10,9 @@
 // pcap, SEGTRC1 binlog, sim TSV, or an in-memory trace) is parsed on a
 // producer thread, micro-batched through a bounded back-pressured
 // util::IngestQueue, assembled into observation days on the caller
-// thread, and each completed day is prepared and handed to a callback.
-// The legacy one-day batch entry point, ingest_day(), survives as a thin
-// adapter over an in-memory source.
+// thread, and each completed day is prepared and handed to a callback. A
+// day already in memory enters the same way, through dns::DayTraceSource
+// (with IngestOptions::use_queue off there is nothing to overlap with).
 //
 // Determinism contract: every PreparedDay graph and every classify()
 // score is bit-identical to what a from-scratch Segugio::prepare_graph /
@@ -61,10 +61,10 @@ struct PreparedDay {
   dns::Day day = 0;                 ///< the observation day
 };
 
-/// Cumulative counters over every day the session ingested (through
-/// ingest_stream() or the legacy adapter — both funnel into the same
-/// per-day preparation, so there is exactly one timing mechanism:
-/// ingest_seconds[i] is the close of the i-th "pipeline/ingest_day" span).
+/// Cumulative counters over every day the session ingested (every day
+/// goes through the same per-day preparation, so there is exactly one
+/// timing mechanism: ingest_seconds[i] is the close of the i-th
+/// "pipeline/ingest_day" span).
 struct StreamingStats {
   std::size_t days_ingested = 0;
   std::vector<double> ingest_seconds;  ///< wall clock per ingested day
@@ -78,7 +78,7 @@ struct IngestOptions {
   std::size_t queue_capacity = 256;  ///< max queued batches (back-pressure)
   util::BackpressurePolicy policy = util::BackpressurePolicy::kBlock;
   /// When false, the source is parsed inline on the caller thread with no
-  /// producer thread and no queue (the adapter path; also handy in tests).
+  /// producer thread and no queue (for sources already in memory).
   bool use_queue = true;
   /// kCountAndDrop only: shed overload as a uniform per-record sample
   /// instead of whole contiguous batches (see util::IngestQueueOptions).
@@ -142,26 +142,17 @@ class Pipeline {
   /// Consumes `source` to exhaustion: parses records on a producer thread,
   /// moves them through a bounded back-pressured queue (see IngestOptions),
   /// cuts the stream at day boundaries (days must be non-decreasing;
-  /// util::ParseError otherwise), prepares each completed day exactly as
-  /// ingest_day() would, and hands it to `on_day`. Under the default
-  /// kBlock policy the result is bit-identical to per-day batch ingestion;
-  /// kCountAndDrop trades completeness for liveness and reports drops in
-  /// the returned stats. Exceptions from the producer (malformed wire
-  /// data) or from `on_day` propagate to the caller after the producer
-  /// thread is joined. Top-level calls only (the build uses the shared
-  /// pool).
+  /// util::ParseError otherwise), prepares each completed day (build,
+  /// label, prober filter, prune; history stays with absorb_history()),
+  /// and hands it to `on_day`. Under the default kBlock policy the result
+  /// is bit-identical to per-day batch ingestion; kCountAndDrop trades
+  /// completeness for liveness and reports drops in the returned stats.
+  /// Exceptions from the producer (malformed wire data) or from `on_day`
+  /// propagate to the caller after the producer thread is joined.
+  /// Top-level calls only (the build uses the shared pool).
   IngestStats ingest_stream(dns::TraceSource& source, const BlacklistProvider& cc_blacklist,
                             const graph::NameSet& e2ld_whitelist, const DayCallback& on_day,
                             const IngestOptions& options = {});
-
-  /// Builds, labels, (optionally) prober-filters, and prunes one day's
-  /// behavior graph from a materialized trace. History stores are fed
-  /// separately through absorb_history(), keeping feature inputs identical
-  /// to the one-shot flow. Kept as an adapter over ingest_stream() for
-  /// callers that already hold a DayTrace; new code should stream.
-  // seg-deprecated
-  PreparedDay ingest_day(const dns::DayTrace& trace, const graph::NameSet& cc_blacklist,
-                         const graph::NameSet& e2ld_whitelist);
 
   /// Trains the detector from the day's known domains (Figure 5 protocol),
   /// with history served by the session's stores.
@@ -182,7 +173,7 @@ class Pipeline {
   ///          fresh.absorb_history(load(a), load(p));
   ///          fresh.load_session(s);
   ///
-  /// after which ingest_day() produces bit-identical graphs and reuse
+  /// after which ingest_stream() produces bit-identical graphs and reuse
   /// ratios carry over instead of resetting to zero.
   void save_session(std::ostream& out) const;
 

@@ -1,18 +1,9 @@
 #include "core/segugio.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <istream>
 #include <ostream>
-#include <string_view>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
-
-#include "graph/graph_compressed.h"
 #include "graph/labeling.h"
 #include "ml/metrics.h"
 #include "util/obs/metrics.h"
@@ -154,55 +145,10 @@ double Segugio::score(const features::FeatureVector& features) const {
                             : logistic_->predict_proba(selected);
 }
 
-namespace {
-
-// SEG_GRAPH_BACKING=mmap reroutes classification through a packed graphc
-// temp file served zero-copy off the mapping; the oocore CI leg runs the
-// whole pipeline suite this way. Scores are asserted bit-identical to the
-// heap path by tests/core/mmap_backing_test.cpp.
-bool mmap_backing_forced() {
-  const char* env = std::getenv("SEG_GRAPH_BACKING");
-  return env != nullptr && std::string_view(env) == "mmap";
-}
-
-// Deletes the temp graphc file even when classification throws.
-struct TempFileGuard {
-  std::string path;
-  ~TempFileGuard() {
-    if (!path.empty()) {
-      std::remove(path.c_str());
-    }
-  }
-};
-
-}  // namespace
-
 DetectionReport Segugio::classify(const graph::GraphView& graph,
                                   const dns::DomainActivityIndex& activity,
                                   const dns::PassiveDnsDb& pdns) const {
   util::require(is_trained(), "Segugio::classify: classifier not trained");
-#if defined(__unix__) || defined(__APPLE__)
-  if (mmap_backing_forced()) {
-    char path_template[] = "/tmp/seg-graphc-XXXXXX";
-    const int fd = mkstemp(path_template);
-    util::require(fd >= 0, "Segugio::classify: cannot create temp graphc file");
-    ::close(fd);
-    TempFileGuard guard{path_template};
-    {
-      std::ofstream out(guard.path, std::ios::binary);
-      graph::save_graph_compressed(graph, out, graph::GraphcEncoding::kPacked);
-      util::require(static_cast<bool>(out), "Segugio::classify: temp graphc write failed");
-    }
-    const graph::MappedGraph mapped = graph::map_graph(guard.path);
-    return classify_view(mapped.view, activity, pdns);
-  }
-#endif
-  return classify_view(graph, activity, pdns);
-}
-
-DetectionReport Segugio::classify_view(const graph::GraphView& graph,
-                                       const dns::DomainActivityIndex& activity,
-                                       const dns::PassiveDnsDb& pdns) const {
   obs::Span features_span("classify/features");
   const features::FeatureExtractor extractor(graph, activity, pdns, config_.features);
   auto unknown = features::build_unknown_set(graph, extractor);

@@ -6,11 +6,16 @@
 // carries the name dictionary across days:
 //
 //   core::Pipeline pipeline(psl, config);
-//   auto day1 = pipeline.ingest_day(trace_t1, blacklist_t1, whitelist);
-//   pipeline.train(day1);
-//   auto day2 = pipeline.ingest_day(trace_t2, blacklist_t2, whitelist);
-//   auto report = pipeline.classify(day2);
-//   for (auto& hit : report.detections_at(threshold)) ...
+//   dns::FileTraceSource tap("resolver.dnstap");
+//   pipeline.ingest_stream(tap, blacklist_for_day, whitelist,
+//                          [&](core::PreparedDay&& day) {
+//                            if (!pipeline.detector().is_trained()) {
+//                              pipeline.train(day);
+//                              return;
+//                            }
+//                            auto report = pipeline.classify(day);
+//                            for (auto& hit : report.detections_at(threshold)) ...
+//                          });
 //
 // The lower-level one-shot flow used by the experiments keeps working:
 //
@@ -177,11 +182,8 @@ class Segugio {
   bool is_trained() const;
 
   /// Scores every unknown domain of a prepared graph (any backing) and
-  /// captures the machine attribution into the report. Setting
-  /// SEG_GRAPH_BACKING=mmap in the environment reroutes the scoring
-  /// through a packed graphc temp file and its zero-copy mapped view,
-  /// which the oocore CI leg uses to assert score bit-identity. Top-level
-  /// calls only, like train().
+  /// captures the machine attribution into the report. Scores are
+  /// bit-identical across backings. Top-level calls only, like train().
   DetectionReport classify(const graph::GraphView& graph,
                            const dns::DomainActivityIndex& activity,
                            const dns::PassiveDnsDb& pdns) const;
@@ -216,9 +218,6 @@ class Segugio {
 
  private:
   std::vector<double> apply_subset(std::span<const double> features) const;
-  DetectionReport classify_view(const graph::GraphView& graph,
-                                const dns::DomainActivityIndex& activity,
-                                const dns::PassiveDnsDb& pdns) const;
 
   SegugioConfig config_;
   std::unique_ptr<ml::RandomForest> forest_;
@@ -229,7 +228,7 @@ class Segugio {
 namespace detail {
 
 /// Shared implementation behind Segugio::prepare_graph and
-/// Pipeline::ingest_day. With a non-null `cache`, the graph build runs in
+/// Pipeline::ingest_stream. With a non-null `cache`, the graph build runs in
 /// streaming mode (name facts carried across days; see
 /// graph/sharded_builder.h) and `carry`, when non-null, receives the
 /// dictionary-reuse counters.

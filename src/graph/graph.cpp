@@ -200,20 +200,6 @@ MachineDomainGraph GraphBuilder::build() {
   return graph;
 }
 
-MachineDomainGraph build_graph_from_file(const std::string& path,
-                                         const dns::PublicSuffixList& psl) {
-  GraphBuilder builder(psl);
-  dns::Day latest = 0;
-  const auto day = dns::for_each_record(path, [&builder](const dns::QueryRecord& record) {
-    builder.add_query(record.machine, record.qname, record.resolved_ips);
-  });
-  latest = day;
-  dns::DayTrace stamp;
-  stamp.day = latest;
-  builder.add_trace(stamp);  // stamp the day without extra records
-  return builder.build();
-}
-
 GraphStats compute_stats(const MachineDomainGraph& graph) {
   GraphStats stats;
   stats.machines = graph.machine_count();

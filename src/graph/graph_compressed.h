@@ -9,14 +9,13 @@
 //                 accessor straight off the mapping (zero-copy load).
 //   compact (2) — split degree/edge/IP-set/label streams, with each
 //                 strictly-ascending adjacency run delta + varint coded
-//                 (util/varint.h). Roughly 4-6x smaller than the legacy
-//                 SEGGRAPH1 serialization (graph_io.h), which spends 8
-//                 widened bytes per stored id.
+//                 (util/varint.h). Roughly 3x smaller than an uncompressed
+//                 layout that widens every stored id to 8 bytes.
 //
-// Both encodings carry exactly the information of save_graph/load_graph:
-// round-trips are lossless, and the loaded graph is bit-identical to the
-// source (tests/graph/graph_compressed_test.cpp asserts serialized
-// equality). The out-of-core preparer (graph/oocore.h) streams the packed
+// Both encodings carry every field of a MachineDomainGraph except the
+// name->id directory (rebuilt on load): round-trips are lossless, and the
+// loaded graph is bit-identical to the source
+// (tests/graph/graph_compressed_test.cpp asserts serialized equality). The out-of-core preparer (graph/oocore.h) streams the packed
 // encoding section-by-section through detail::PackedGraphcWriter, and its
 // output is byte-identical to save_graph_compressed() of the equivalent
 // heap-built graph.

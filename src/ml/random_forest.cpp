@@ -8,8 +8,8 @@
 #include <ostream>
 
 #include "util/obs/trace.h"
+#include "util/parallel.h"
 #include "util/require.h"
-#include "util/thread_pool.h"
 
 namespace seg::ml {
 
@@ -55,8 +55,7 @@ void RandomForest::train(const Dataset& dataset) {
     }
   }
 
-  util::ThreadPool pool(config_.num_threads);
-  pool.parallel_for(config_.num_trees, [&](std::size_t t) {
+  util::parallel_for(config_.num_trees, [&](std::size_t t) {
     auto& rng = tree_rngs[t];
     auto& sample = bootstraps[t];
     if (config_.stratified_bootstrap) {

@@ -3,7 +3,9 @@
 // Bagged CART trees with per-split feature subsampling. Scores are the mean
 // of per-tree leaf probabilities, giving the smooth "malware score" the
 // paper thresholds for its TP/FP trade-offs. Training parallelizes across
-// trees; everything is deterministic given the seed.
+// trees on the shared pool (util/parallel.h), so SEG_THREADS /
+// util::set_parallelism set its width; every tree draws from its own
+// pre-forked RNG, so the model is identical for every width.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +32,6 @@ struct RandomForestConfig {
   /// whitelisted ones.
   bool stratified_bootstrap = false;
   std::uint64_t seed = 42;
-  /// Worker threads for training; 0 = hardware concurrency.
-  std::size_t num_threads = 0;
   /// Track out-of-bag score estimates during training.
   bool compute_oob = false;
 };
@@ -40,6 +40,8 @@ class RandomForest final : public Classifier {
  public:
   explicit RandomForest(RandomForestConfig config = {}) : config_(config) {}
 
+  /// Top-level calls only: the fit runs on the shared pool, so it must
+  /// not be reached from inside a parallel_for body (see util/parallel.h).
   void train(const Dataset& dataset) override;
   double predict_proba(std::span<const double> features) const override;
   bool is_trained() const override { return !trees_.empty(); }

@@ -1,9 +1,10 @@
 // Fixed-size thread pool with a parallel_for convenience wrapper.
 //
-// Random-forest training and per-domain feature extraction are
-// embarrassingly parallel; the pool lets them scale with available cores
-// while remaining deterministic (work is partitioned statically by index,
-// and all RNG streams are pre-forked per work item).
+// The pipeline does not construct pools of its own: every stage (graph
+// build, pruning, features, forest fit, classify, LBP) runs on the one
+// process-wide instance behind util/parallel.h. Work is partitioned
+// statically by index and RNG streams are pre-forked per work item, so
+// results do not depend on the pool size.
 #pragma once
 
 #include <condition_variable>

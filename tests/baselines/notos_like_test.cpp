@@ -28,7 +28,6 @@ class NotosLikeTest : public ::testing::Test {
   static NotosConfig fast_config() {
     NotosConfig config;
     config.forest.num_trees = 20;
-    config.forest.num_threads = 1;
     return config;
   }
 };

@@ -44,16 +44,14 @@ test -f "$DIR/day1.dnstap"
   --activity "$DIR/activity.txt" --pdns "$DIR/pdns.txt" --threshold 0.5 \
   | grep -q "unknown domains scored"
 
-# Deprecated aliases still work and warn on stderr.
-"$CLI" simgen --out "$DIR" --days 1 --isp 0 --binary 2>"$DIR/warn1.txt" >/dev/null
-grep -q "deprecated" "$DIR/warn1.txt"
-"$CLI" classify --trace "$DIR/day1.bin" --model "$DIR/model.txt" \
-  --blacklist "$DIR/blacklist-day1.txt" --whitelist "$DIR/whitelist.txt" \
-  --activity "$DIR/activity.txt" --pdns "$DIR/pdns.txt" --threshold 0.5 \
-  2>"$DIR/warn2.txt" | grep -q "unknown domains scored"
-grep -q "deprecated" "$DIR/warn2.txt"
-
 # Error paths return non-zero with a clear message.
+if "$CLI" classify --trace "$DIR/day1.bin" --model "$DIR/model.txt" \
+  --blacklist "$DIR/blacklist-day1.txt" --whitelist "$DIR/whitelist.txt" \
+  --activity "$DIR/activity.txt" --pdns "$DIR/pdns.txt" 2>"$DIR/no-input.txt"; then
+  echo "expected failure without --input" >&2
+  exit 1
+fi
+grep -q "pass --input FILE" "$DIR/no-input.txt"
 if "$CLI" classify --input /nonexistent --model "$DIR/model.txt" \
   --blacklist "$DIR/blacklist-day1.txt" --whitelist "$DIR/whitelist.txt" \
   --activity "$DIR/activity.txt" --pdns "$DIR/pdns.txt" 2>/dev/null; then

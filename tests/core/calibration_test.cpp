@@ -27,7 +27,6 @@ class CalibrationTest : public ::testing::Test {
   static Segugio trained(const graph::MachineDomainGraph& graph) {
     SegugioConfig config;
     config.forest.num_trees = 20;
-    config.forest.num_threads = 1;
     Segugio segugio(config);
     segugio.train(graph, world().activity(), world().pdns());
     return segugio;

@@ -30,7 +30,6 @@ Segugio trained_detector(SegugioConfig config) {
 TEST(DiagnosticsTest, ForestModelCardListsAllFeaturesWithImportances) {
   SegugioConfig config;
   config.forest.num_trees = 10;
-  config.forest.num_threads = 1;
   const auto segugio = trained_detector(std::move(config));
   const auto card = describe_model(segugio);
   EXPECT_NE(card.find("random forest"), std::string::npos);
@@ -44,7 +43,6 @@ TEST(DiagnosticsTest, ForestModelCardListsAllFeaturesWithImportances) {
 TEST(DiagnosticsTest, SubsetModelCardListsOnlyActiveFeatures) {
   SegugioConfig config;
   config.forest.num_trees = 10;
-  config.forest.num_threads = 1;
   config.feature_subset =
       features::feature_indices_for({features::FeatureGroup::kMachineBehavior});
   const auto segugio = trained_detector(std::move(config));

@@ -49,7 +49,6 @@ class ExperimentTest : public ::testing::Test {
   static SegugioConfig fast_config() {
     SegugioConfig config;
     config.forest.num_trees = 30;
-    config.forest.num_threads = 1;
     return config;
   }
 };

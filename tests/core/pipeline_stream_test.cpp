@@ -1,9 +1,9 @@
 // The ingest_stream() determinism contract: a streamed session — records
 // pulled from a TraceSource, micro-batched through the bounded queue, cut
 // at day boundaries — produces byte-identical artifacts (graphs, model,
-// session, scores) to the legacy one-day-at-a-time ingest_day() session,
-// at any parallelism and any queue tuning, as long as the back-pressure
-// policy is kBlock. This is the acceptance test for the streaming
+// session, scores) to a one-day-at-a-time session that feeds each day
+// from memory with the queue off, at any parallelism and any queue
+// tuning, as long as the back-pressure policy is kBlock. This is the acceptance test for the streaming
 // redesign; docs/ingestion.md points here.
 #include "core/pipeline.h"
 
@@ -19,7 +19,7 @@
 
 #include "dns/trace_source.h"
 #include "dns/wire/dnstap.h"
-#include "graph/graph_io.h"
+#include "graph/graph_compressed.h"
 #include "sim/world.h"
 #include "util/parallel.h"
 
@@ -47,14 +47,26 @@ class PipelineStreamTest : public ::testing::Test {
   static SegugioConfig fast_config() {
     SegugioConfig config;
     config.forest.num_trees = 20;
-    config.forest.num_threads = 1;
     return config;
   }
 
   static std::string graph_bytes(const graph::MachineDomainGraph& graph) {
     std::ostringstream blob;
-    graph::save_graph(graph, blob);
+    graph::save_graph_compressed(graph, blob, graph::GraphcEncoding::kCompact);
     return std::move(blob).str();
+  }
+
+  // One in-memory day through the session's only way in: ingest_stream()
+  // over a DayTraceSource, parsed inline (no producer thread, no queue).
+  static PreparedDay ingest(Pipeline& pipeline, const dns::DayTrace& trace,
+                            const graph::NameSet& blacklist, const graph::NameSet& whitelist) {
+    dns::DayTraceSource source(trace);
+    PreparedDay result;
+    pipeline.ingest_stream(
+        source, [&blacklist](dns::Day) -> const graph::NameSet& { return blacklist; },
+        whitelist, [&result](PreparedDay&& day) { result = std::move(day); },
+        IngestOptions{.use_queue = false});
+    return result;
   }
 
   std::string temp_path(const std::string& suffix) {
@@ -137,9 +149,9 @@ TEST_F(PipelineStreamTest, BinlogReplayMatchesBatchSessionAtOneAndEightThreads) 
 
   const auto run_batch = [&] {
     Pipeline pipeline(w.psl(), w.activity(), w.pdns(), config);
-    const auto train_day = pipeline.ingest_day(traces[0], blacklists[0], whitelist);
+    const auto train_day = ingest(pipeline, traces[0], blacklists[0], whitelist);
     pipeline.train(train_day);
-    const auto test_day = pipeline.ingest_day(traces[1], blacklists[1], whitelist);
+    const auto test_day = ingest(pipeline, traces[1], blacklists[1], whitelist);
     const auto report = pipeline.classify(test_day);
     return capture_artifacts(pipeline, train_day, test_day, report);
   };
@@ -211,7 +223,7 @@ TEST_F(PipelineStreamTest, DnstapReplayMatchesBatchOverItsOwnDecodedRecords) {
   EXPECT_EQ(decoded[0].day, 7);
 
   Pipeline batch_pipeline(w.psl(), w.activity(), w.pdns(), config);
-  const auto batch_day = batch_pipeline.ingest_day(decoded[0], blacklist, whitelist);
+  const auto batch_day = ingest(batch_pipeline, decoded[0], blacklist, whitelist);
 
   Pipeline stream_pipeline(w.psl(), w.activity(), w.pdns(), config);
   dns::FileTraceSource stream_source(path);
@@ -249,7 +261,7 @@ TEST_F(PipelineStreamTest, QueueTuningNeverChangesTheGraph) {
 
   Pipeline reference_pipeline(w.psl(), w.activity(), w.pdns(), config);
   const auto reference =
-      graph_bytes(reference_pipeline.ingest_day(trace, blacklist, whitelist).graph);
+      graph_bytes(ingest(reference_pipeline, trace, blacklist, whitelist).graph);
 
   EXPECT_EQ(run(IngestOptions{}, nullptr), reference);
 

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "core/segugio.h"
-#include "graph/graph_io.h"
+#include "graph/graph_compressed.h"
 #include "graph/name_cache.h"
 #include "sim/world.h"
 #include "util/obs/obs.h"
@@ -32,14 +32,26 @@ class PipelineTest : public ::testing::Test {
   static SegugioConfig fast_config() {
     SegugioConfig config;
     config.forest.num_trees = 20;
-    config.forest.num_threads = 1;
     return config;
   }
 
   static std::string graph_bytes(const graph::MachineDomainGraph& graph) {
     std::ostringstream blob;
-    graph::save_graph(graph, blob);
+    graph::save_graph_compressed(graph, blob, graph::GraphcEncoding::kCompact);
     return std::move(blob).str();
+  }
+
+  // One in-memory day through the session's only way in: ingest_stream()
+  // over a DayTraceSource, parsed inline (no producer thread, no queue).
+  static PreparedDay ingest(Pipeline& pipeline, const dns::DayTrace& trace,
+                            const graph::NameSet& blacklist, const graph::NameSet& whitelist) {
+    dns::DayTraceSource source(trace);
+    PreparedDay result;
+    pipeline.ingest_stream(
+        source, [&blacklist](dns::Day) -> const graph::NameSet& { return blacklist; },
+        whitelist, [&result](PreparedDay&& day) { result = std::move(day); },
+        IngestOptions{.use_queue = false});
+    return result;
   }
 };
 
@@ -57,9 +69,8 @@ TEST_F(PipelineTest, ThreeDayStreamedIngestMatchesFromScratchBuilds) {
   Pipeline pipeline(w.psl(), config);
   for (dns::Day day = 0; day < 3; ++day) {
     pipeline.absorb_history(w.activity(), w.pdns());
-    const auto prepared =
-        pipeline.ingest_day(traces[static_cast<std::size_t>(day)],
-                            blacklists[static_cast<std::size_t>(day)], whitelist);
+    const auto prepared = ingest(pipeline, traces[static_cast<std::size_t>(day)],
+                                 blacklists[static_cast<std::size_t>(day)], whitelist);
     EXPECT_EQ(prepared.day, day);
     const auto scratch =
         Segugio::prepare_graph(traces[static_cast<std::size_t>(day)], w.psl(),
@@ -91,9 +102,9 @@ TEST_F(PipelineTest, ScoresBitIdenticalAcrossThreadCountsAndSerialFlow) {
 
   const auto run_session = [&] {
     Pipeline pipeline(w.psl(), w.activity(), w.pdns(), config);
-    const auto train_day = pipeline.ingest_day(train_trace, train_blacklist, whitelist);
+    const auto train_day = ingest(pipeline, train_trace, train_blacklist, whitelist);
     pipeline.train(train_day);
-    const auto test_day = pipeline.ingest_day(test_trace, test_blacklist, whitelist);
+    const auto test_day = ingest(pipeline, test_trace, test_blacklist, whitelist);
     auto report = pipeline.classify(test_day);
     return std::make_pair(graph_bytes(test_day.graph), std::move(report));
   };
@@ -148,9 +159,9 @@ TEST_F(PipelineTest, ObservabilityNeverPerturbsScoresOrArtifacts) {
   };
   const auto run_session = [&] {
     Pipeline pipeline(w.psl(), w.activity(), w.pdns(), config);
-    const auto train_day = pipeline.ingest_day(train_trace, train_blacklist, whitelist);
+    const auto train_day = ingest(pipeline, train_trace, train_blacklist, whitelist);
     pipeline.train(train_day);
-    const auto test_day = pipeline.ingest_day(test_trace, test_blacklist, whitelist);
+    const auto test_day = ingest(pipeline, test_trace, test_blacklist, whitelist);
     const auto report = pipeline.classify(test_day);
     Artifacts artifacts;
     artifacts.graph = graph_bytes(test_day.graph);
@@ -204,9 +215,9 @@ TEST_F(PipelineTest, ObservabilityNeverPerturbsScoresOrArtifacts) {
   {
     Pipeline pipeline(w.psl(), w.activity(), w.pdns(), config);
     pipeline.set_journal(&journal_blob);
-    const auto train_day = pipeline.ingest_day(train_trace, train_blacklist, whitelist);
+    const auto train_day = ingest(pipeline, train_trace, train_blacklist, whitelist);
     pipeline.train(train_day);
-    const auto test_day = pipeline.ingest_day(test_trace, test_blacklist, whitelist);
+    const auto test_day = ingest(pipeline, test_trace, test_blacklist, whitelist);
     const auto report = pipeline.classify(test_day);
     pipeline.flush_journal();
     journaled.graph = graph_bytes(test_day.graph);
@@ -257,9 +268,8 @@ TEST_F(PipelineTest, JournalAndDriftGaugesAreByteIdenticalAcrossThreadCounts) {
     pipeline.set_journal(&journal_blob);
     bool trained = false;
     for (dns::Day day = 0; day < 3; ++day) {
-      const auto prepared =
-          pipeline.ingest_day(traces[static_cast<std::size_t>(day)],
-                              blacklists[static_cast<std::size_t>(day)], whitelist);
+      const auto prepared = ingest(pipeline, traces[static_cast<std::size_t>(day)],
+                                   blacklists[static_cast<std::size_t>(day)], whitelist);
       if (!trained) {
         pipeline.train(prepared);
         trained = true;
@@ -312,9 +322,9 @@ TEST_F(PipelineTest, ReportAttributionMatchesGraphLookup) {
   const auto whitelist = w.whitelist().all();
 
   Pipeline pipeline(w.psl(), w.activity(), w.pdns(), config);
-  const auto train_day = pipeline.ingest_day(train_trace, train_blacklist, whitelist);
+  const auto train_day = ingest(pipeline, train_trace, train_blacklist, whitelist);
   pipeline.train(train_day);
-  const auto test_day = pipeline.ingest_day(test_trace, test_blacklist, whitelist);
+  const auto test_day = ingest(pipeline, test_trace, test_blacklist, whitelist);
   const auto report = pipeline.classify(test_day);
 
   // Threshold 0 keeps every scored domain, exercising the full CSR; each
@@ -343,13 +353,13 @@ TEST_F(PipelineTest, SessionSurvivesRestartWithIdenticalOutput) {
 
   // Continuous session: day 1 then day 2.
   Pipeline continuous(w.psl(), w.activity(), w.pdns(), config);
-  const auto cont_day1 = continuous.ingest_day(day1_trace, day1_blacklist, whitelist);
-  const auto cont_day2 = continuous.ingest_day(day2_trace, day2_blacklist, whitelist);
+  const auto cont_day1 = ingest(continuous, day1_trace, day1_blacklist, whitelist);
+  const auto cont_day2 = ingest(continuous, day2_trace, day2_blacklist, whitelist);
 
   // Restarted session: day 1, save_session, new process (fresh Pipeline),
   // load_session, day 2.
   Pipeline before_restart(w.psl(), w.activity(), w.pdns(), config);
-  const auto pre_day1 = before_restart.ingest_day(day1_trace, day1_blacklist, whitelist);
+  const auto pre_day1 = ingest(before_restart, day1_trace, day1_blacklist, whitelist);
   EXPECT_EQ(graph_bytes(pre_day1.graph), graph_bytes(cont_day1.graph));
   std::ostringstream session_blob;
   before_restart.save_session(session_blob);
@@ -362,7 +372,7 @@ TEST_F(PipelineTest, SessionSurvivesRestartWithIdenticalOutput) {
             before_restart.streaming_stats().cached_names);
   EXPECT_GT(after_restart.streaming_stats().cached_names, 0u);
 
-  const auto post_day2 = after_restart.ingest_day(day2_trace, day2_blacklist, whitelist);
+  const auto post_day2 = ingest(after_restart, day2_trace, day2_blacklist, whitelist);
   EXPECT_EQ(graph_bytes(post_day2.graph), graph_bytes(cont_day2.graph))
       << "post-restart ingest diverges from the continuous session";
   // Day-2 reuse must carry over: the restarted session serves day-2 names
@@ -377,7 +387,7 @@ TEST_F(PipelineTest, SessionSaveIsDeterministicAndShardCountInvariant) {
   Pipeline pipeline(w.psl(), w.activity(), w.pdns(), fast_config());
   const auto trace = w.generate_day(0, 13);
   const auto blacklist = w.blacklist().as_of(sim::BlacklistKind::kCommercial, 13);
-  pipeline.ingest_day(trace, blacklist, w.whitelist().all());
+  ingest(pipeline, trace, blacklist, w.whitelist().all());
 
   std::ostringstream first;
   pipeline.save_session(first);
@@ -419,7 +429,7 @@ TEST_F(PipelineTest, LoadSessionRejectsHeaderlessAndForeignStreams) {
   const auto trace = w.generate_day(0, 14);
   const auto blacklist = w.blacklist().as_of(sim::BlacklistKind::kCommercial, 14);
   pipeline.absorb_history(w.activity(), w.pdns());
-  const auto day = pipeline.ingest_day(trace, blacklist, w.whitelist().all());
+  const auto day = ingest(pipeline, trace, blacklist, w.whitelist().all());
   EXPECT_GT(day.graph.domain_count(), 0u);
 }
 

@@ -30,7 +30,6 @@ class SegugioIoTest : public ::testing::Test {
 TEST_F(SegugioIoTest, ForestModelRoundTrips) {
   SegugioConfig config;
   config.forest.num_trees = 15;
-  config.forest.num_threads = 1;
   config.features.activity_window_days = 10;
   config.feature_subset =
       features::feature_indices_excluding(features::FeatureGroup::kIpAbuse);
@@ -61,7 +60,6 @@ TEST_F(SegugioIoTest, HeaderlessModelStreamThrows) {
   // pre-header format) is rejected as malformed, whatever its body says.
   SegugioConfig config;
   config.forest.num_trees = 10;
-  config.forest.num_threads = 1;
   const auto graph = prepared_graph(0);
   Segugio segugio(config);
   segugio.train(graph, world().activity(), world().pdns());
@@ -96,7 +94,6 @@ TEST_F(SegugioIoTest, LogisticModelRoundTrips) {
 TEST_F(SegugioIoTest, ProberFilterTravelsWithTheModel) {
   SegugioConfig config;
   config.forest.num_trees = 5;
-  config.forest.num_threads = 1;
   graph::ProberFilterConfig filter;
   filter.min_blacklisted_domains = 42;
   filter.min_blacklisted_ratio = 0.6;
@@ -115,7 +112,6 @@ TEST_F(SegugioIoTest, ProberFilterTravelsWithTheModel) {
 TEST_F(SegugioIoTest, PruningConfigTravelsWithTheModel) {
   SegugioConfig config;
   config.forest.num_trees = 5;
-  config.forest.num_threads = 1;
   config.pruning.inactive_machine_max_degree = 7;
   config.pruning.popular_e2ld_fraction = 0.25;
   const auto graph = prepared_graph(0);

@@ -34,7 +34,6 @@ class SegugioTest : public ::testing::Test {
   static SegugioConfig fast_config() {
     SegugioConfig config;
     config.forest.num_trees = 20;
-    config.forest.num_threads = 1;
     return config;
   }
 };

@@ -13,7 +13,6 @@
 #include <string>
 #include <unistd.h>
 
-#include "graph/graph_io.h"
 #include "graph/graph_view.h"
 #include "graph/labeling.h"
 #include "util/require.h"
@@ -59,7 +58,7 @@ class GraphCompressedTest : public ::testing::Test {
 
   static std::string graph_bytes(const MachineDomainGraph& graph) {
     std::ostringstream blob;
-    save_graph(graph, blob);
+    save_graph_compressed(graph, blob, GraphcEncoding::kCompact);
     return std::move(blob).str();
   }
 };
@@ -176,6 +175,23 @@ TEST_F(GraphCompressedTest, TruncatedMappedFileIsRejected) {
     out << full.substr(0, full.size() - 8);
   }
   EXPECT_THROW(map_graph(path_), util::ParseError);
+}
+
+TEST_F(GraphCompressedTest, RejectsForeignHeader) {
+  std::istringstream in(std::string("segf1 namecache 1\n") + std::string(96, '\0'));
+  EXPECT_THROW(load_graph_compressed(in), util::ParseError);
+  std::istringstream headerless("not a graph at all");
+  EXPECT_THROW(load_graph_compressed(headerless), util::ParseError);
+}
+
+TEST_F(GraphCompressedTest, RejectsCorruptLabelByte) {
+  const auto graph = make_graph();
+  std::ostringstream blob;
+  save_graph_compressed(graph, blob, GraphcEncoding::kCompact);
+  auto bytes = blob.str();
+  bytes.back() = 0x7f;  // the compact stream ends with the last domain label
+  std::istringstream in(bytes);
+  EXPECT_THROW(load_graph_compressed(in), util::ParseError);
 }
 
 TEST_F(GraphCompressedTest, CompactEncodingRejectsTrailingGarbage) {

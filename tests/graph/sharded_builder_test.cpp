@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "graph/graph_io.h"
+#include "graph/graph_compressed.h"
 #include "graph/labeling.h"
 #include "graph/pruning.h"
 #include "util/parallel.h"
@@ -23,7 +23,7 @@ namespace {
 
 std::string serialized(const MachineDomainGraph& graph) {
   std::ostringstream out;
-  save_graph(graph, out);
+  save_graph_compressed(graph, out, GraphcEncoding::kCompact);
   return out.str();
 }
 

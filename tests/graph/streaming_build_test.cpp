@@ -1,11 +1,11 @@
-// build_graph_from_file: streaming file-to-graph must be identical to the
-// materialize-then-build path, for both on-disk formats.
+// dns::for_each_record streams a query-log file record by record without
+// materializing the trace (the out-of-core preparer's reader).
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <unistd.h>
 
-#include "graph/graph.h"
+#include "dns/query_log.h"
 #include "util/require.h"
 
 namespace seg::graph {
@@ -18,10 +18,7 @@ class StreamingBuildTest : public ::testing::Test {
              ("seg_stream_" + std::to_string(::getpid())))
                 .string();
   }
-  void TearDown() override {
-    std::filesystem::remove(base_ + ".tsv");
-    std::filesystem::remove(base_ + ".bin");
-  }
+  void TearDown() override { std::filesystem::remove(base_ + ".tsv"); }
 
   static dns::DayTrace sample_trace() {
     dns::DayTrace trace;
@@ -36,47 +33,12 @@ class StreamingBuildTest : public ::testing::Test {
     return trace;
   }
 
-  static void expect_same(const MachineDomainGraph& a, const MachineDomainGraph& b) {
-    EXPECT_EQ(a.day(), b.day());
-    ASSERT_EQ(a.machine_count(), b.machine_count());
-    ASSERT_EQ(a.domain_count(), b.domain_count());
-    EXPECT_EQ(a.edge_count(), b.edge_count());
-    for (DomainId d = 0; d < a.domain_count(); ++d) {
-      EXPECT_EQ(a.domain_name(d), b.domain_name(d));
-      EXPECT_EQ(a.machines_of(d).size(), b.machines_of(d).size());
-    }
-  }
-
   std::string base_;
 };
 
-TEST_F(StreamingBuildTest, TextFileMatchesInMemoryBuild) {
-  const auto psl = dns::PublicSuffixList::with_default_rules();
-  const auto trace = sample_trace();
-  dns::write_trace(trace, base_ + ".tsv");
-
-  GraphBuilder builder(psl);
-  builder.add_trace(trace);
-  const auto expected = builder.build();
-  const auto streamed = build_graph_from_file(base_ + ".tsv", psl);
-  expect_same(expected, streamed);
-}
-
-TEST_F(StreamingBuildTest, BinaryFileMatchesInMemoryBuild) {
-  const auto psl = dns::PublicSuffixList::with_default_rules();
-  const auto trace = sample_trace();
-  dns::write_trace_binary(trace, base_ + ".bin");
-
-  GraphBuilder builder(psl);
-  builder.add_trace(trace);
-  const auto expected = builder.build();
-  const auto streamed = build_graph_from_file(base_ + ".bin", psl);
-  expect_same(expected, streamed);
-}
-
 TEST_F(StreamingBuildTest, MissingFileThrows) {
-  const auto psl = dns::PublicSuffixList::with_default_rules();
-  EXPECT_THROW(build_graph_from_file("/nonexistent/trace.tsv", psl), util::ParseError);
+  EXPECT_THROW(dns::for_each_record("/nonexistent/trace.tsv", [](const dns::QueryRecord&) {}),
+               util::ParseError);
 }
 
 TEST_F(StreamingBuildTest, ForEachRecordReturnsDay) {

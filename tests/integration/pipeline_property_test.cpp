@@ -195,7 +195,6 @@ TEST_P(TestFractionSweep, SelectionScalesWithFraction) {
 
   core::SegugioConfig config;
   config.forest.num_trees = 10;
-  config.forest.num_threads = 1;
   core::CrossDayOptions options;
   options.test_fraction = GetParam();
   const auto result = core::run_cross_day(inputs, config, options);

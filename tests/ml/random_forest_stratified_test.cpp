@@ -2,6 +2,7 @@
 
 #include "ml/metrics.h"
 #include "ml/random_forest.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace seg::ml {
@@ -28,7 +29,6 @@ TEST(StratifiedBootstrapTest, LearnsFromAHandfulOfPositives) {
   const auto data = rare_positives(rng);
   RandomForestConfig config;
   config.num_trees = 40;
-  config.num_threads = 1;
   config.stratified_bootstrap = true;
   RandomForest forest(config);
   forest.train(data);
@@ -48,7 +48,6 @@ TEST(StratifiedBootstrapTest, RankingBeatsOrMatchesPlainBootstrapWhenRare) {
   const auto auc_for = [&](bool stratified) {
     RandomForestConfig config;
     config.num_trees = 40;
-    config.num_threads = 1;
     config.stratified_bootstrap = stratified;
     RandomForest forest(config);
     forest.train(train);
@@ -71,12 +70,13 @@ TEST(StratifiedBootstrapTest, DeterministicAcrossThreadCounts) {
   config.num_trees = 16;
   config.stratified_bootstrap = true;
   config.seed = 5;
-  config.num_threads = 1;
+  util::set_parallelism(1);
   RandomForest a(config);
   a.train(data);
-  config.num_threads = 4;
+  util::set_parallelism(4);
   RandomForest b(config);
   b.train(data);
+  util::set_parallelism(0);
   for (std::size_t i = 0; i < 50; ++i) {
     EXPECT_DOUBLE_EQ(a.predict_proba(data.row(i)), b.predict_proba(data.row(i)));
   }
@@ -97,7 +97,6 @@ TEST(StratifiedBootstrapTest, PreservesClassRatioApproximately) {
   }
   RandomForestConfig config;
   config.num_trees = 10;
-  config.num_threads = 1;
   config.stratified_bootstrap = true;
   config.compute_oob = true;
   RandomForest forest(config);

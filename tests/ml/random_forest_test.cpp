@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "ml/metrics.h"
+#include "util/parallel.h"
 #include "util/require.h"
 #include "util/rng.h"
 
@@ -31,7 +32,6 @@ TEST(RandomForestTest, OutperformsChanceOnNoisyData) {
   const auto test = gaussians(500, rng);
   RandomForestConfig config;
   config.num_trees = 50;
-  config.num_threads = 2;
   RandomForest forest(config);
   forest.train(train);
 
@@ -50,7 +50,6 @@ TEST(RandomForestTest, ScoresAreProbabilities) {
   const auto data = gaussians(500, rng);
   RandomForestConfig config;
   config.num_trees = 10;
-  config.num_threads = 1;
   RandomForest forest(config);
   forest.train(data);
   for (std::size_t i = 0; i < data.num_rows(); ++i) {
@@ -66,12 +65,18 @@ TEST(RandomForestTest, DeterministicAcrossThreadCounts) {
   RandomForestConfig config;
   config.num_trees = 16;
   config.seed = 99;
-  config.num_threads = 1;
+  util::set_parallelism(1);
   RandomForest forest1(config);
   forest1.train(data);
-  config.num_threads = 4;
+  util::set_parallelism(4);
   RandomForest forest4(config);
   forest4.train(data);
+  util::set_parallelism(0);
+  std::ostringstream bytes1;
+  std::ostringstream bytes4;
+  forest1.save(bytes1);
+  forest4.save(bytes4);
+  EXPECT_EQ(bytes1.str(), bytes4.str());
   for (std::size_t i = 0; i < 100; ++i) {
     EXPECT_DOUBLE_EQ(forest1.predict_proba(data.row(i)), forest4.predict_proba(data.row(i)));
   }
@@ -84,7 +89,6 @@ TEST(RandomForestTest, MoreTreesSmoothScores) {
   const auto data = gaussians(1000, rng, /*separation=*/0.5);
   RandomForestConfig config1;
   config1.num_trees = 1;
-  config1.num_threads = 1;
   RandomForest one(config1);
   one.train(data);
   RandomForestConfig config50 = config1;
@@ -128,7 +132,6 @@ TEST(RandomForestTest, FeatureImportanceIsNormalizedAndInformative) {
   }
   RandomForestConfig config;
   config.num_trees = 20;
-  config.num_threads = 1;
   RandomForest forest(config);
   forest.train(d);
   const auto importance = forest.feature_importance();
@@ -142,7 +145,6 @@ TEST(RandomForestTest, OobErrorIsSmallOnSeparableData) {
   const auto data = gaussians(1000, rng, /*separation=*/3.0);
   RandomForestConfig config;
   config.num_trees = 30;
-  config.num_threads = 1;
   config.compute_oob = true;
   RandomForest forest(config);
   forest.train(data);
@@ -162,7 +164,6 @@ TEST(RandomForestTest, SaveLoadRoundTrip) {
   const auto data = gaussians(400, rng);
   RandomForestConfig config;
   config.num_trees = 8;
-  config.num_threads = 1;
   RandomForest forest(config);
   forest.train(data);
   std::stringstream buffer;
@@ -194,7 +195,6 @@ TEST(RandomForestTest, ScoreAllMatchesRowWiseCalls) {
   const auto data = gaussians(100, rng);
   RandomForestConfig config;
   config.num_trees = 5;
-  config.num_threads = 1;
   RandomForest forest(config);
   forest.train(data);
   const auto scores = forest.score_all(data);
@@ -214,7 +214,6 @@ TEST_P(ForestSizeTest, ReasonableAucAtEachSize) {
   const auto test = gaussians(300, rng);
   RandomForestConfig config;
   config.num_trees = GetParam();
-  config.num_threads = 2;
   RandomForest forest(config);
   forest.train(train);
   std::vector<int> labels;

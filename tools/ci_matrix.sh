@@ -26,10 +26,11 @@
 # soaks the health sampler under tsan, and archives the obs-overhead
 # benchmark section (SEG_BENCH_OBS_ONLY=1).
 #
-# The oocore leg reuses the asan tree and re-runs the pipeline, graph, and
-# mmap-backing suites with SEG_GRAPH_BACKING=mmap, so the zero-copy
-# GraphView path (mapping lifetime, varint decode bounds, classify parity)
-# gets sanitizer coverage; see docs/graph-format.md.
+# The oocore leg reuses the asan tree and re-runs the pipeline,
+# mmap-backing, graphc, out-of-core and varint suites, so the zero-copy
+# GraphView path (mapping lifetime, varint decode bounds, classify parity
+# on map_graph() views) gets sanitizer coverage; see
+# docs/graph-format.md.
 #
 # The ingest leg covers the streaming front end (docs/ingestion.md): a
 # tsan soak of the queue and stream-determinism suites (repeated, so the
@@ -287,15 +288,15 @@ run_oocore() {
     return 1
   fi
 
-  echo "=== [oocore] pipeline + mmap-backing + graph suites with SEG_GRAPH_BACKING=mmap ==="
-  if ! SEG_GRAPH_BACKING=mmap "${build_dir}/tests/core_test" \
+  echo "=== [oocore] pipeline + mmap-backing + graph suites ==="
+  if ! "${build_dir}/tests/core_test" \
        --gtest_filter='Pipeline*:MmapBacking*' >> "${log}" 2>&1; then
-    echo "    core suites FAILED under mmap backing (see ${log})"
+    echo "    core suites FAILED under asan (see ${log})"
     return 1
   fi
-  if ! SEG_GRAPH_BACKING=mmap "${build_dir}/tests/graph_test" \
+  if ! "${build_dir}/tests/graph_test" \
        --gtest_filter='GraphCompressed*:OutOfCore*:Varint*' >> "${log}" 2>&1; then
-    echo "    graph suites FAILED under mmap backing (see ${log})"
+    echo "    graph suites FAILED under asan (see ${log})"
     return 1
   fi
   return 0
@@ -392,11 +393,12 @@ run_config() {
     return 1
   fi
   if [ "${config}" = "thread" ]; then
-    # The streaming pipeline and the extractor's history lookups
-    # parallelize internally (F2/F3 precompute over the shared pool,
-    # sharded build, parallel classify); run their suites explicitly under
-    # tsan so a filtered ctest invocation can't skip the race-contract
-    # coverage. The store absorb suites feed that lookup path.
+    # The streaming pipeline, the extractor's history lookups, the forest
+    # fit and the LBP sweeps all run on the one shared pool (F2/F3
+    # precompute, sharded build, parallel classify, per-tree fit, message
+    # sweeps); run their suites explicitly under tsan so a filtered ctest
+    # invocation can't skip the race-contract coverage. The store absorb
+    # suites feed that lookup path.
     echo "=== [${config}] streaming pipeline + history lookup suites ==="
     if ! "${build_dir}/tests/core_test" --gtest_filter='Pipeline*' >> "${log}" 2>&1; then
       echo "    pipeline tests FAILED under tsan (see ${log})"
@@ -410,6 +412,15 @@ run_config() {
     if ! "${build_dir}/tests/dns_test" \
         --gtest_filter='ActivityIndexAbsorb*:PassiveDnsDbAbsorb*' >> "${log}" 2>&1; then
       echo "    store absorb tests FAILED under tsan (see ${log})"
+      return 1
+    fi
+    if ! "${build_dir}/tests/ml_test" --gtest_filter='RandomForest*:StratifiedBootstrap*' \
+        >> "${log}" 2>&1; then
+      echo "    forest tests FAILED under tsan (see ${log})"
+      return 1
+    fi
+    if ! "${build_dir}/tests/baselines_test" --gtest_filter='Lbp*' >> "${log}" 2>&1; then
+      echo "    LBP tests FAILED under tsan (see ${log})"
       return 1
     fi
   fi

@@ -1,9 +1,10 @@
 #include "graph/graph_compressed.h"
 
+#include <algorithm>
 #include <cstring>
 #include <istream>
-#include <iterator>
 #include <ostream>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -16,7 +17,7 @@ namespace seg::graph {
 
 namespace {
 
-// The mapped loader serves fixed-width sections in place, so the packed
+// The packed walker serves fixed-width sections in place, so the packed
 // encoding inherits the host's layout for these types.
 static_assert(sizeof(dns::IpV4) == 4 && std::is_trivially_copyable_v<dns::IpV4>,
               "packed graphc stores resolved IPs as raw 4-byte values");
@@ -69,30 +70,11 @@ void write_binary_header(std::ostream& out, GraphcEncoding encoding,
 
 // --- packed encoding --------------------------------------------------------
 
-void write_name_table(detail::PackedGraphcWriter& writer, const NameTableView& names) {
-  std::vector<std::uint64_t> offsets(names.size() + 1, 0);
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    offsets[i + 1] = offsets[i] + names[i].size();
-  }
-  writer.bytes(offsets.data(), offsets.size() * sizeof(std::uint64_t));
-  std::string blob;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    const auto name = names[i];
-    blob.append(name.data(), name.size());
-    if (blob.size() >= (1u << 20)) {
-      writer.bytes(blob.data(), blob.size());
-      blob.clear();
-    }
-  }
-  writer.bytes(blob.data(), blob.size());
-  writer.pad8();
-}
-
 void save_packed(const GraphView& graph, std::ostream& out) {
   detail::PackedGraphcWriter writer(out, counts_of(graph));
-  write_name_table(writer, graph.machine_names());
-  write_name_table(writer, graph.domain_names());
-  write_name_table(writer, graph.e2ld_names());
+  for (const auto& names : {graph.machine_names(), graph.domain_names(), graph.e2ld_names()}) {
+    writer.name_table(names.size(), [&names](std::size_t i) { return names[i]; });
+  }
 
   const auto section = [&writer](const auto& span, std::size_t element_size) {
     writer.bytes(span.data(), span.size() * element_size);
@@ -202,16 +184,104 @@ void save_compact(const GraphView& graph, std::ostream& out) {
 
 // --- loading ---------------------------------------------------------------
 
-void read_exact(std::istream& in, void* data, std::size_t size) {
-  in.read(static_cast<char*>(data), static_cast<std::streamsize>(size));
-  util::require_data(static_cast<std::size_t>(in.gcount()) == size,
-                     "load_graph_compressed: truncated file");
-}
-
 struct BinaryHeader {
   GraphcEncoding encoding = GraphcEncoding::kPacked;
   detail::GraphcCounts counts;
 };
+
+// The one graphc header parser, over the first kHeaderBytes of an input of
+// `size` bytes. Every count is bounded by `size`: each counted element
+// occupies at least one byte in either encoding, so a larger count cannot
+// be honest. That bound is also the overflow check for every section size
+// derived from the counts: with each count at most `size`, no sum such as
+// (count + 1) * 8 + name_bytes can wrap 64 bits, and no decoder allocates
+// more than a small multiple of its input.
+BinaryHeader parse_header(const unsigned char* bytes, std::size_t size) {
+  util::require_data(size >= kTextHeader.size() &&
+                         std::memcmp(bytes, kTextHeader.data(), kTextHeader.size()) == 0,
+                     "graphc: not a segf1 graphc 1 stream");
+  util::require_data(size >= kHeaderBytes, "graphc: truncated header");
+  const unsigned char* cursor = bytes + kTextHeader.size();
+  util::require_data(cursor[0] == static_cast<std::uint8_t>(GraphcEncoding::kPacked) ||
+                         cursor[0] == static_cast<std::uint8_t>(GraphcEncoding::kCompact),
+                     "graphc: unknown encoding byte");
+  util::require_data(cursor[1] == 0 && cursor[2] == 0 && cursor[3] == 0,
+                     "graphc: nonzero reserved header bytes");
+  BinaryHeader header;
+  header.encoding = static_cast<GraphcEncoding>(cursor[0]);
+  std::memcpy(&header.counts.day, cursor + 4, 4);
+  std::uint64_t fields[8];
+  std::memcpy(fields, cursor + 8, sizeof(fields));
+  for (const auto field : fields) {
+    util::require_data(field <= size, "graphc: header count exceeds the input size");
+  }
+  header.counts.machines = fields[0];
+  header.counts.domains = fields[1];
+  header.counts.e2lds = fields[2];
+  header.counts.edges = fields[3];
+  header.counts.ips = fields[4];
+  header.counts.machine_name_bytes = fields[5];
+  header.counts.domain_name_bytes = fields[6];
+  header.counts.e2ld_name_bytes = fields[7];
+  return header;
+}
+
+// The one packed-section walker: a GraphView serving the sections of the
+// 8-byte-aligned input [bytes, bytes + size) in place. It checks that every
+// section lies inside the input, that the input ends with the last one, and
+// the name-table offsets (NameTableView indexes its blob through them);
+// validate() checks everything else.
+GraphView walk_packed(const unsigned char* bytes, std::size_t size,
+                      const detail::GraphcCounts& counts) {
+  std::size_t position = kHeaderBytes + pad8_gap(kHeaderBytes);
+  const auto take = [&](std::uint64_t section_bytes) {
+    util::require_data(position <= size && section_bytes <= size - position,
+                       "graphc: truncated section");
+    const unsigned char* begin = bytes + position;
+    position += section_bytes;
+    position += pad8_gap(position);
+    return begin;
+  };
+
+  const auto name_table = [&](std::uint64_t count, std::uint64_t name_bytes) {
+    const auto* offsets = reinterpret_cast<const std::uint64_t*>(
+        take((count + 1) * sizeof(std::uint64_t) + name_bytes));
+    const auto* blob = reinterpret_cast<const char*>(offsets + count + 1);
+    util::require_data(offsets[0] == 0 && offsets[count] == name_bytes,
+                       "graphc: name offsets inconsistent with blob");
+    for (std::uint64_t i = 0; i < count; ++i) {
+      util::require_data(offsets[i] <= offsets[i + 1], "graphc: name offsets not monotone");
+    }
+    return NameTableView::from_blob(blob, offsets, count);
+  };
+  const auto machines = name_table(counts.machines, counts.machine_name_bytes);
+  const auto domains = name_table(counts.domains, counts.domain_name_bytes);
+  const auto e2lds = name_table(counts.e2lds, counts.e2ld_name_bytes);
+
+  const auto* domain_e2ld =
+      reinterpret_cast<const E2ldId*>(take(counts.domains * sizeof(E2ldId)));
+  const auto* machine_offsets =
+      reinterpret_cast<const std::uint64_t*>(take((counts.machines + 1) * sizeof(std::uint64_t)));
+  const auto* machine_targets =
+      reinterpret_cast<const DomainId*>(take(counts.edges * sizeof(DomainId)));
+  const auto* domain_offsets =
+      reinterpret_cast<const std::uint64_t*>(take((counts.domains + 1) * sizeof(std::uint64_t)));
+  const auto* domain_targets =
+      reinterpret_cast<const MachineId*>(take(counts.edges * sizeof(MachineId)));
+  const auto* ip_offsets =
+      reinterpret_cast<const std::uint64_t*>(take((counts.domains + 1) * sizeof(std::uint64_t)));
+  const auto* resolved_ips =
+      reinterpret_cast<const dns::IpV4*>(take(counts.ips * sizeof(dns::IpV4)));
+  const auto* machine_labels = reinterpret_cast<const Label*>(take(counts.machines));
+  const auto* domain_labels = reinterpret_cast<const Label*>(take(counts.domains));
+  util::require_data(position == size, "graphc: input size inconsistent with header counts");
+  return make_packed_view(
+      counts.day, machines, domains, e2lds, {domain_e2ld, counts.domains},
+      {machine_offsets, counts.machines + 1}, {machine_targets, counts.edges},
+      {domain_offsets, counts.domains + 1}, {domain_targets, counts.edges},
+      {ip_offsets, counts.domains + 1}, {resolved_ips, counts.ips},
+      {machine_labels, counts.machines}, {domain_labels, counts.domains});
+}
 
 // Decoded sections, assembled into a MachineDomainGraph by
 // load_graph_compressed (the friend); the per-encoding readers stay free
@@ -232,117 +302,44 @@ struct GraphParts {
   std::vector<Label> domain_labels;
 };
 
-BinaryHeader read_binary_header(std::istream& in) {
-  const int version = util::read_format_header(in, kGraphcMagic, kGraphcVersion,
-                                               /*legacy_version=*/0);
-  util::require_data(version == kGraphcVersion,
-                     "load_graph_compressed: not a segf1 graphc stream");
-  // read_format_header leaves the header line's newline in the stream.
-  util::require_data(in.get() == '\n', "load_graph_compressed: malformed header line");
-
-  BinaryHeader header;
-  std::uint8_t encoding = 0;
-  std::uint8_t reserved[3] = {};
-  read_exact(in, &encoding, 1);
-  read_exact(in, reserved, 3);
-  util::require_data(encoding == static_cast<std::uint8_t>(GraphcEncoding::kPacked) ||
-                         encoding == static_cast<std::uint8_t>(GraphcEncoding::kCompact),
-                     "load_graph_compressed: unknown encoding byte");
-  util::require_data(reserved[0] == 0 && reserved[1] == 0 && reserved[2] == 0,
-                     "load_graph_compressed: nonzero reserved header bytes");
-  header.encoding = static_cast<GraphcEncoding>(encoding);
-  read_exact(in, &header.counts.day, 4);
-  std::uint64_t fields[8] = {};
-  read_exact(in, fields, sizeof(fields));
-  header.counts.machines = fields[0];
-  header.counts.domains = fields[1];
-  header.counts.e2lds = fields[2];
-  header.counts.edges = fields[3];
-  header.counts.ips = fields[4];
-  header.counts.machine_name_bytes = fields[5];
-  header.counts.domain_name_bytes = fields[6];
-  header.counts.e2ld_name_bytes = fields[7];
-  return header;
+template <typename T>
+std::vector<T> to_vector(std::span<const T> section) {
+  return {section.begin(), section.end()};
 }
 
-std::vector<std::string> split_blob(const std::vector<std::uint64_t>& offsets,
-                                    const std::string& blob) {
-  util::require_data(!offsets.empty() && offsets.front() == 0 && offsets.back() == blob.size(),
-                     "load_graph_compressed: name offsets inconsistent with blob");
-  std::vector<std::string> names;
-  names.reserve(offsets.size() - 1);
-  for (std::size_t i = 0; i + 1 < offsets.size(); ++i) {
-    util::require_data(offsets[i] <= offsets[i + 1],
-                       "load_graph_compressed: name offsets not monotone");
-    names.emplace_back(blob, offsets[i], offsets[i + 1] - offsets[i]);
+std::vector<std::string> to_strings(const NameTableView& names) {
+  std::vector<std::string> out;
+  out.reserve(names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    out.emplace_back(names[i]);
   }
-  return names;
+  return out;
 }
 
-GraphParts load_packed(std::istream& in, const detail::GraphcCounts& counts) {
-  std::size_t position = kHeaderBytes;
-  const auto skip_pad = [&] {
-    const std::size_t gap = pad8_gap(position);
-    char pad[8];
-    read_exact(in, pad, gap);
-    position += gap;
-  };
-  const auto read_section = [&](void* data, std::size_t size) {
-    read_exact(in, data, size);
-    position += size;
-    skip_pad();
-  };
-  skip_pad();
-
+GraphParts copy_parts(const GraphView& view) {
   GraphParts parts;
-  parts.day = counts.day;
-
-  const auto read_names = [&](std::uint64_t count, std::uint64_t name_bytes) {
-    std::vector<std::uint64_t> offsets(count + 1);
-    read_exact(in, offsets.data(), offsets.size() * sizeof(std::uint64_t));
-    position += offsets.size() * sizeof(std::uint64_t);
-    std::string blob(name_bytes, '\0');
-    read_section(blob.data(), blob.size());
-    return split_blob(offsets, blob);
-  };
-  parts.machine_names = read_names(counts.machines, counts.machine_name_bytes);
-  parts.domain_names = read_names(counts.domains, counts.domain_name_bytes);
-  parts.e2ld_names = read_names(counts.e2lds, counts.e2ld_name_bytes);
-
-  parts.domain_e2ld.resize(counts.domains);
-  read_section(parts.domain_e2ld.data(), counts.domains * sizeof(E2ldId));
-  parts.machine_offsets.resize(counts.machines + 1);
-  read_section(parts.machine_offsets.data(), (counts.machines + 1) * sizeof(std::uint64_t));
-  parts.machine_targets.resize(counts.edges);
-  read_section(parts.machine_targets.data(), counts.edges * sizeof(DomainId));
-  parts.domain_offsets.resize(counts.domains + 1);
-  read_section(parts.domain_offsets.data(), (counts.domains + 1) * sizeof(std::uint64_t));
-  parts.domain_targets.resize(counts.edges);
-  read_section(parts.domain_targets.data(), counts.edges * sizeof(MachineId));
-  parts.ip_offsets.resize(counts.domains + 1);
-  read_section(parts.ip_offsets.data(), (counts.domains + 1) * sizeof(std::uint64_t));
-  parts.resolved_ips.resize(counts.ips);
-  read_section(parts.resolved_ips.data(), counts.ips * sizeof(dns::IpV4));
-  parts.machine_labels.resize(counts.machines);
-  read_section(parts.machine_labels.data(), counts.machines);
-  parts.domain_labels.resize(counts.domains);
-  read_section(parts.domain_labels.data(), counts.domains);
-  for (const auto label : parts.machine_labels) {
-    util::require_data(static_cast<unsigned char>(label) <= 2,
-                       "load_graph_compressed: malformed label byte");
-  }
-  for (const auto label : parts.domain_labels) {
-    util::require_data(static_cast<unsigned char>(label) <= 2,
-                       "load_graph_compressed: malformed label byte");
-  }
+  parts.day = view.day();
+  parts.machine_names = to_strings(view.machine_names());
+  parts.domain_names = to_strings(view.domain_names());
+  parts.e2ld_names = to_strings(view.e2ld_names());
+  parts.domain_e2ld = to_vector(view.domain_e2ld_ids());
+  parts.machine_offsets = to_vector(view.machine_offsets());
+  parts.machine_targets = to_vector(view.machine_targets());
+  parts.domain_offsets = to_vector(view.domain_offsets());
+  parts.domain_targets = to_vector(view.domain_targets());
+  parts.ip_offsets = to_vector(view.ip_offsets());
+  parts.resolved_ips = to_vector(view.resolved_ip_values());
+  parts.machine_labels = to_vector(view.machine_labels());
+  parts.domain_labels = to_vector(view.domain_labels());
   return parts;
 }
 
-GraphParts load_compact(std::istream& in, const detail::GraphcCounts& counts) {
-  const std::string body(std::istreambuf_iterator<char>(in), {});
-  const auto* p = reinterpret_cast<const unsigned char*>(body.data());
-  const auto* end = p + body.size();
-
+// Decodes the compact streams in [p, end), the bytes after the header.
+// Row lengths are checked as they accumulate, so a lying degree stream
+// cannot steer a run outside its target array; validate() checks the
+// decoded graph.
+GraphParts decode_compact(const unsigned char* p, const unsigned char* end,
+                          const detail::GraphcCounts& counts) {
   GraphParts parts;
   parts.day = counts.day;
 
@@ -352,7 +349,7 @@ GraphParts load_compact(std::istream& in, const detail::GraphcCounts& counts) {
     for (std::uint64_t i = 0; i < count; ++i) {
       const auto length = util::decode_varint(p, end);
       util::require_data(length <= static_cast<std::uint64_t>(end - p),
-                         "load_graph_compressed: truncated name");
+                         "graphc: truncated name");
       names.emplace_back(reinterpret_cast<const char*>(p), length);
       p += length;
     }
@@ -365,36 +362,36 @@ GraphParts load_compact(std::istream& in, const detail::GraphcCounts& counts) {
   parts.domain_e2ld.reserve(counts.domains);
   for (std::uint64_t d = 0; d < counts.domains; ++d) {
     const auto e = util::decode_varint(p, end);
-    util::require_data(e < counts.e2lds, "load_graph_compressed: e2LD id out of range");
+    // Checked before the narrowing cast, which could wrap it into range.
+    util::require_data(e < counts.e2lds, "graphc: e2LD id out of range");
     parts.domain_e2ld.push_back(static_cast<E2ldId>(e));
   }
 
-  const auto csr = [&](std::uint64_t nodes, std::uint64_t target_limit,
-                       std::vector<std::uint64_t>& offsets, auto& targets) {
-    offsets.assign(nodes + 1, 0);
-    for (std::uint64_t i = 0; i < nodes; ++i) {
-      offsets[i + 1] = offsets[i] + util::decode_varint(p, end);
+  const auto row_offsets = [&](std::uint64_t rows, std::uint64_t total, const char* what) {
+    std::vector<std::uint64_t> offsets(rows + 1, 0);
+    for (std::uint64_t i = 0; i < rows; ++i) {
+      const auto length = util::decode_varint(p, end);
+      util::require_data(length <= total - offsets[i], what);
+      offsets[i + 1] = offsets[i] + length;
     }
-    util::require_data(offsets.back() == counts.edges,
-                       "load_graph_compressed: degree stream inconsistent with edge count");
+    util::require_data(offsets.back() == total, what);
+    return offsets;
+  };
+  const auto csr = [&](std::uint64_t nodes, std::vector<std::uint64_t>& offsets,
+                       auto& targets) {
+    offsets = row_offsets(nodes, counts.edges,
+                          "graphc: degree stream inconsistent with edge count");
     targets.resize(counts.edges);
     for (std::uint64_t i = 0; i < nodes; ++i) {
       util::decode_ascending_run(p, end, offsets[i + 1] - offsets[i],
                                  targets.data() + offsets[i]);
     }
-    for (const auto t : targets) {
-      util::require_data(t < target_limit, "load_graph_compressed: target id out of range");
-    }
   };
-  csr(counts.machines, counts.domains, parts.machine_offsets, parts.machine_targets);
-  csr(counts.domains, counts.machines, parts.domain_offsets, parts.domain_targets);
+  csr(counts.machines, parts.machine_offsets, parts.machine_targets);
+  csr(counts.domains, parts.domain_offsets, parts.domain_targets);
 
-  parts.ip_offsets.assign(counts.domains + 1, 0);
-  for (std::uint64_t d = 0; d < counts.domains; ++d) {
-    parts.ip_offsets[d + 1] = parts.ip_offsets[d] + util::decode_varint(p, end);
-  }
-  util::require_data(parts.ip_offsets.back() == counts.ips,
-                     "load_graph_compressed: IP size stream inconsistent with IP count");
+  parts.ip_offsets = row_offsets(counts.domains, counts.ips,
+                                 "graphc: IP size stream inconsistent with IP count");
   parts.resolved_ips.reserve(counts.ips);
   std::vector<std::uint32_t> run;
   for (std::uint64_t d = 0; d < counts.domains; ++d) {
@@ -406,19 +403,42 @@ GraphParts load_compact(std::istream& in, const detail::GraphcCounts& counts) {
     }
   }
 
-  const auto labels = [&](std::uint64_t count, std::vector<Label>& out_labels) {
+  const auto labels = [&](std::uint64_t count) {
     util::require_data(count <= static_cast<std::uint64_t>(end - p),
-                       "load_graph_compressed: truncated label section");
-    out_labels.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      util::require_data(*p <= 2, "load_graph_compressed: malformed label byte");
-      out_labels.push_back(static_cast<Label>(*p++));
-    }
+                       "graphc: truncated label section");
+    const auto* first = reinterpret_cast<const Label*>(p);
+    p += count;
+    return std::vector<Label>(first, first + count);
   };
-  labels(counts.machines, parts.machine_labels);
-  labels(counts.domains, parts.domain_labels);
-  util::require_data(p == end, "load_graph_compressed: trailing bytes after graph");
+  parts.machine_labels = labels(counts.machines);
+  parts.domain_labels = labels(counts.domains);
+  util::require_data(p == end, "graphc: trailing bytes after graph");
   return parts;
+}
+
+// The rest of `in`, in 8-byte-aligned storage so that the packed walker can
+// serve typed sections from it exactly as from a mapping.
+struct AlignedInput {
+  std::vector<std::uint64_t> words;
+  std::size_t size = 0;
+
+  const unsigned char* data() const {
+    return reinterpret_cast<const unsigned char*>(words.data());
+  }
+};
+
+AlignedInput read_aligned(std::istream& in) {
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  AlignedInput input;
+  std::size_t got = 0;
+  do {
+    input.words.resize((input.size + kChunk + 7) / 8);
+    in.read(reinterpret_cast<char*>(input.words.data()) + input.size,
+            static_cast<std::streamsize>(kChunk));
+    got = static_cast<std::size_t>(in.gcount());
+    input.size += got;
+  } while (got == kChunk);
+  return input;
 }
 
 }  // namespace
@@ -461,11 +481,57 @@ void save_graph_compressed(const GraphView& graph, std::ostream& out,
   }
 }
 
+void validate(const GraphView& graph) {
+  const std::uint64_t machines = graph.machine_count();
+  const std::uint64_t domains = graph.domain_count();
+  const std::uint64_t edges = graph.edge_count();
+  util::require_data(graph.domain_targets().size() == edges,
+                     "graphc: edge count mismatch between directions");
+  util::require_data(graph.domain_e2ld_ids().size() == domains,
+                     "graphc: e2LD annotation size mismatch");
+  util::require_data(graph.machine_labels().size() == machines &&
+                         graph.domain_labels().size() == domains,
+                     "graphc: label section size mismatch");
+
+  // Each table holds rows + 1 entries rising from 0 to the section size.
+  const auto offsets = [](std::span<const std::uint64_t> table, std::uint64_t rows,
+                          std::uint64_t total) {
+    util::require_data(table.size() == rows + 1 && table.front() == 0 && table.back() == total,
+                       "graphc: offset table inconsistent with its section");
+    for (std::uint64_t i = 0; i < rows; ++i) {
+      util::require_data(table[i] <= table[i + 1], "graphc: offsets not monotone");
+    }
+  };
+  offsets(graph.machine_offsets(), machines, edges);
+  offsets(graph.domain_offsets(), domains, edges);
+  offsets(graph.ip_offsets(), domains, graph.resolved_ip_values().size());
+
+  for (const auto d : graph.machine_targets()) {
+    util::require_data(d < domains, "graphc: domain id out of range");
+  }
+  for (const auto m : graph.domain_targets()) {
+    util::require_data(m < machines, "graphc: machine id out of range");
+  }
+  const std::uint64_t e2lds = graph.e2ld_count();
+  for (const auto e : graph.domain_e2ld_ids()) {
+    util::require_data(e < e2lds, "graphc: e2LD id out of range");
+  }
+  const auto label_ok = [](Label label) { return static_cast<unsigned char>(label) <= 2; };
+  util::require_data(std::all_of(graph.machine_labels().begin(), graph.machine_labels().end(),
+                                 label_ok) &&
+                         std::all_of(graph.domain_labels().begin(),
+                                     graph.domain_labels().end(), label_ok),
+                     "graphc: malformed label byte");
+}
+
 MachineDomainGraph load_graph_compressed(std::istream& in) {
-  const BinaryHeader header = read_binary_header(in);
-  GraphParts parts = header.encoding == GraphcEncoding::kPacked
-                         ? load_packed(in, header.counts)
-                         : load_compact(in, header.counts);
+  const AlignedInput input = read_aligned(in);
+  const BinaryHeader header = parse_header(input.data(), input.size);
+  GraphParts parts =
+      header.encoding == GraphcEncoding::kPacked
+          ? copy_parts(walk_packed(input.data(), input.size, header.counts))
+          : decode_compact(input.data() + kHeaderBytes, input.data() + input.size,
+                           header.counts);
 
   MachineDomainGraph graph;
   graph.day_ = parts.day;
@@ -481,121 +547,18 @@ MachineDomainGraph load_graph_compressed(std::istream& in) {
   graph.resolved_ips_ = std::move(parts.resolved_ips);
   graph.machine_labels_ = std::move(parts.machine_labels);
   graph.domain_labels_ = std::move(parts.domain_labels);
-
-  // Same structural checks as load_graph.
-  util::require_data(graph.machine_offsets_.size() == graph.machine_names_.size() + 1 &&
-                         graph.domain_offsets_.size() == graph.domain_names_.size() + 1 &&
-                         graph.ip_offsets_.size() == graph.domain_names_.size() + 1,
-                     "load_graph_compressed: offset table size mismatch");
-  util::require_data(graph.machine_targets_.size() == graph.domain_targets_.size(),
-                     "load_graph_compressed: edge count mismatch between directions");
-  util::require_data(graph.domain_e2ld_.size() == graph.domain_names_.size(),
-                     "load_graph_compressed: e2LD annotation size mismatch");
-  util::require_data(graph.machine_offsets_.empty() ||
-                         graph.machine_offsets_.back() == graph.machine_targets_.size(),
-                     "load_graph_compressed: machine CSR inconsistent");
-  util::require_data(graph.ip_offsets_.empty() ||
-                         graph.ip_offsets_.back() == graph.resolved_ips_.size(),
-                     "load_graph_compressed: IP CSR inconsistent");
+  validate(graph);
   graph.rebuild_name_index();
   return graph;
 }
 
 MappedGraph map_graph(const std::string& path) {
   util::MmapFile file(path);
-  const unsigned char* base = file.data();
-  const std::size_t size = file.size();
-  util::require_data(size >= kHeaderBytes, "map_graph: file too small for a graphc header");
-  util::require_data(std::memcmp(base, kTextHeader.data(), kTextHeader.size()) == 0,
-                     "map_graph: not a segf1 graphc 1 file");
-  const unsigned char* cursor = base + kTextHeader.size();
-  util::require_data(cursor[0] == static_cast<std::uint8_t>(GraphcEncoding::kPacked),
+  const BinaryHeader header = parse_header(file.data(), file.size());
+  util::require_data(header.encoding == GraphcEncoding::kPacked,
                      "map_graph: file is not packed-encoded (re-save with kPacked)");
-  util::require_data(cursor[1] == 0 && cursor[2] == 0 && cursor[3] == 0,
-                     "map_graph: nonzero reserved header bytes");
-  detail::GraphcCounts counts;
-  std::memcpy(&counts.day, cursor + 4, 4);
-  std::uint64_t fields[8];
-  std::memcpy(fields, cursor + 8, sizeof(fields));
-  counts.machines = fields[0];
-  counts.domains = fields[1];
-  counts.e2lds = fields[2];
-  counts.edges = fields[3];
-  counts.ips = fields[4];
-  counts.machine_name_bytes = fields[5];
-  counts.domain_name_bytes = fields[6];
-  counts.e2ld_name_bytes = fields[7];
-
-  std::size_t position = kHeaderBytes + pad8_gap(kHeaderBytes);
-  const auto take = [&](std::size_t section_bytes) {
-    util::require_data(section_bytes <= size && position <= size - section_bytes,
-                       "map_graph: truncated section");
-    const unsigned char* begin = base + position;
-    position += section_bytes;
-    position += pad8_gap(position);
-    return begin;
-  };
-
-  const auto name_table = [&](std::uint64_t count, std::uint64_t name_bytes) {
-    const auto* offsets = reinterpret_cast<const std::uint64_t*>(
-        take((count + 1) * sizeof(std::uint64_t) + name_bytes) );
-    const auto* blob = reinterpret_cast<const char*>(offsets + count + 1);
-    util::require_data(offsets[0] == 0 && offsets[count] == name_bytes,
-                       "map_graph: name offsets inconsistent with blob");
-    for (std::uint64_t i = 0; i < count; ++i) {
-      util::require_data(offsets[i] <= offsets[i + 1],
-                         "map_graph: name offsets not monotone");
-    }
-    return NameTableView::from_blob(blob, offsets, count);
-  };
-  const auto machines = name_table(counts.machines, counts.machine_name_bytes);
-  const auto domains = name_table(counts.domains, counts.domain_name_bytes);
-  const auto e2lds = name_table(counts.e2lds, counts.e2ld_name_bytes);
-
-  const auto* domain_e2ld =
-      reinterpret_cast<const E2ldId*>(take(counts.domains * sizeof(E2ldId)));
-  const auto offsets_section = [&](std::uint64_t count, std::uint64_t back_value,
-                                   const char* what) {
-    const auto* offsets =
-        reinterpret_cast<const std::uint64_t*>(take((count + 1) * sizeof(std::uint64_t)));
-    util::require_data(offsets[0] == 0 && offsets[count] == back_value,
-                       std::string("map_graph: ") + what + " offsets inconsistent");
-    for (std::uint64_t i = 0; i < count; ++i) {
-      util::require_data(offsets[i] <= offsets[i + 1],
-                         std::string("map_graph: ") + what + " offsets not monotone");
-    }
-    return offsets;
-  };
-  const auto* machine_offsets = offsets_section(counts.machines, counts.edges, "machine");
-  const auto* machine_targets =
-      reinterpret_cast<const DomainId*>(take(counts.edges * sizeof(DomainId)));
-  const auto* domain_offsets = offsets_section(counts.domains, counts.edges, "domain");
-  const auto* domain_targets =
-      reinterpret_cast<const MachineId*>(take(counts.edges * sizeof(MachineId)));
-  const auto* ip_offsets = offsets_section(counts.domains, counts.ips, "IP");
-  const auto* resolved_ips =
-      reinterpret_cast<const dns::IpV4*>(take(counts.ips * sizeof(dns::IpV4)));
-  const auto* machine_labels = reinterpret_cast<const Label*>(take(counts.machines));
-  const auto* domain_labels = reinterpret_cast<const Label*>(take(counts.domains));
-  util::require_data(position == size, "map_graph: file size inconsistent with header counts");
-  for (std::uint64_t d = 0; d < counts.domains; ++d) {
-    util::require_data(domain_e2ld[d] < counts.e2lds, "map_graph: e2LD id out of range");
-  }
-  for (std::uint64_t m = 0; m < counts.machines; ++m) {
-    util::require_data(static_cast<unsigned char>(machine_labels[m]) <= 2,
-                       "map_graph: malformed label byte");
-  }
-  for (std::uint64_t d = 0; d < counts.domains; ++d) {
-    util::require_data(static_cast<unsigned char>(domain_labels[d]) <= 2,
-                       "map_graph: malformed label byte");
-  }
-
-  GraphView view = make_packed_view(
-      counts.day, machines, domains, e2lds, {domain_e2ld, counts.domains},
-      {machine_offsets, counts.machines + 1}, {machine_targets, counts.edges},
-      {domain_offsets, counts.domains + 1}, {domain_targets, counts.edges},
-      {ip_offsets, counts.domains + 1}, {resolved_ips, counts.ips},
-      {machine_labels, counts.machines}, {domain_labels, counts.domains});
+  const GraphView view = walk_packed(file.data(), file.size(), header.counts);
+  validate(view);
   return MappedGraph{std::move(file), view};
 }
 

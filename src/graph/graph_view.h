@@ -172,8 +172,9 @@ class GraphView {
   std::span<const Label> domain_labels_;
 };
 
-/// Assembles a view from raw section spans (graph_compressed.cpp's mapped
-/// loader). Callers guarantee the usual CSR invariants.
+/// Assembles a view from raw section spans (graph_compressed.cpp's packed
+/// walker). Nothing is checked here: run graph::validate()
+/// (graph_compressed.h) on the view before any consumer indexes it.
 inline GraphView make_packed_view(dns::Day day, NameTableView machines, NameTableView domains,
                                   NameTableView e2lds, std::span<const E2ldId> domain_e2ld,
                                   std::span<const std::uint64_t> machine_offsets,

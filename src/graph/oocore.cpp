@@ -178,30 +178,6 @@ constexpr std::uint32_t high32(std::uint64_t pair) {
   return static_cast<std::uint32_t>(pair >> 32);
 }
 
-// Name-table section writer over an arbitrary name accessor; produces the
-// same bytes as save_graph_compressed's packed name tables for equal
-// logical names.
-template <typename NameOf>
-void write_name_section(detail::PackedGraphcWriter& writer, std::size_t count,
-                        const NameOf& name_of) {
-  std::vector<std::uint64_t> offsets(count + 1, 0);
-  for (std::size_t i = 0; i < count; ++i) {
-    offsets[i + 1] = offsets[i] + name_of(i).size();
-  }
-  writer.bytes(offsets.data(), offsets.size() * sizeof(std::uint64_t));
-  std::string blob;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::string_view name = name_of(i);
-    blob.append(name.data(), name.size());
-    if (blob.size() >= (1u << 20)) {
-      writer.bytes(blob.data(), blob.size());
-      blob.clear();
-    }
-  }
-  writer.bytes(blob.data(), blob.size());
-  writer.pad8();
-}
-
 struct SpillCleanup {
   std::vector<std::string> paths;
   ~SpillCleanup() {
@@ -553,14 +529,14 @@ OutOfCoreResult prepare_graph_out_of_core(const std::string& trace_path,
   std::ofstream out(out_path, std::ios::binary);
   util::require_data(out.is_open(), "oocore: cannot create output file '" + out_path + "'");
   detail::PackedGraphcWriter writer(out, counts);
-  write_name_section(writer, nm_new, [&](std::size_t i) {
+  writer.name_table(nm_new, [&](std::size_t i) {
     return std::string_view(machine_names[kept_machines[i]]);
   });
-  write_name_section(writer, nd_new, [&](std::size_t i) {
+  writer.name_table(nd_new, [&](std::size_t i) {
     return std::string_view(domain_names[kept_domains[i]]);
   });
-  write_name_section(writer, new_e2ld_names.size(),
-                     [&](std::size_t i) { return std::string_view(new_e2ld_names[i]); });
+  writer.name_table(new_e2ld_names.size(),
+                    [&](std::size_t i) { return std::string_view(new_e2ld_names[i]); });
 
   writer.bytes(new_domain_e2ld.data(), new_domain_e2ld.size() * sizeof(E2ldId));
   writer.pad8();

@@ -7,14 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <unistd.h>
 
 #include "graph/graph_view.h"
 #include "graph/labeling.h"
+#include "graph/pruning.h"
 #include "util/require.h"
 
 namespace seg::graph {
@@ -54,6 +58,11 @@ class GraphCompressedTest : public ::testing::Test {
     whitelist.insert("good.com");
     apply_labels(graph, blacklist, whitelist);
     return graph;
+  }
+
+  void write_file(const std::string& bytes) const {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out << bytes;
   }
 
   static std::string graph_bytes(const MachineDomainGraph& graph) {
@@ -200,6 +209,74 @@ TEST_F(GraphCompressedTest, CompactEncodingRejectsTrailingGarbage) {
   save_graph_compressed(graph, blob, GraphcEncoding::kCompact);
   std::istringstream in(blob.str() + "x");
   EXPECT_THROW(load_graph_compressed(in), util::ParseError);
+}
+
+TEST_F(GraphCompressedTest, WordSplatIsRejectedOrLoadsAValidGraph) {
+  // 0x7fffffff over each 4-byte word of a packed file in turn: each loader
+  // must throw ParseError or hand back a graph that passes validate() and
+  // survives prune. A corrupt target, offset or count must neither crash
+  // the stream loader nor slip past map_graph as an out-of-range id.
+  const auto graph = make_graph();
+  std::ostringstream blob;
+  save_graph_compressed(graph, blob, GraphcEncoding::kPacked);
+  const auto full = blob.str();
+  const std::uint32_t splat = 0x7fffffff;
+  std::size_t rejected = 0;
+  for (std::size_t at = 0; at + sizeof(splat) <= full.size(); at += sizeof(splat)) {
+    auto bytes = full;
+    std::memcpy(bytes.data() + at, &splat, sizeof(splat));
+
+    std::optional<MachineDomainGraph> loaded;
+    std::istringstream in(bytes);
+    try {
+      loaded = load_graph_compressed(in);
+    } catch (const util::ParseError&) {
+    }
+    if (loaded) {
+      EXPECT_NO_THROW(validate(*loaded)) << "byte " << at;
+      EXPECT_NO_THROW(prune(*loaded, PruningConfig{})) << "byte " << at;
+    } else {
+      ++rejected;
+    }
+
+    write_file(bytes);
+    std::optional<MappedGraph> mapped;
+    try {
+      mapped = map_graph(path_);
+    } catch (const util::ParseError&) {
+    }
+    // One walker and one validate(): both loaders accept the same bytes.
+    EXPECT_EQ(mapped.has_value(), loaded.has_value()) << "byte " << at;
+    if (mapped) {
+      EXPECT_NO_THROW(validate(mapped->view)) << "byte " << at;
+      EXPECT_NO_THROW(prune(mapped->view, PruningConfig{})) << "byte " << at;
+    }
+  }
+  // Header, offset, target, e2LD and label words are all rejected; name,
+  // IP, day and padding words load.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_LT(rejected, full.size() / sizeof(splat));
+}
+
+TEST_F(GraphCompressedTest, HeaderCountWhoseSectionSizeWrapsIsRejected) {
+  // machines = 2^61 - 1 makes the machine name table's (machines + 1) * 8
+  // bytes wrap to 0, and would have the compact decoder reserve 2^61 names.
+  const auto graph = make_graph();
+  const std::uint64_t machines = (std::uint64_t{1} << 61) - 1;
+  const std::size_t machines_at = std::string_view("segf1 graphc 1\n").size() + 8;
+  for (const auto encoding : {GraphcEncoding::kPacked, GraphcEncoding::kCompact}) {
+    std::ostringstream blob;
+    save_graph_compressed(graph, blob, encoding);
+    auto bytes = blob.str();
+    std::memcpy(bytes.data() + machines_at, &machines, sizeof(machines));
+    std::istringstream in(bytes);
+    EXPECT_THROW(load_graph_compressed(in), util::ParseError)
+        << "encoding " << static_cast<int>(encoding);
+    if (encoding == GraphcEncoding::kPacked) {
+      write_file(bytes);
+      EXPECT_THROW(map_graph(path_), util::ParseError);
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// Graph file I/O through the default entry points (save_graph_compressed /
-// load_graph_compressed with the default encoding), the pair the CLI's
-// --save-graph and --graph options go through: a saved graph reloads with
-// every name, label, edge and IP intact, and a cut-short file is rejected.
+// Heap graph file I/O through the default entry points: a graph written by
+// save_graph_compressed at its default (compact) encoding and read back by
+// load_graph_compressed keeps every name, label, edge, e2LD and IP; an
+// empty built graph round-trips; a file cut in half is rejected with
+// util::ParseError.
 #include "graph/graph_compressed.h"
 
 #include <gtest/gtest.h>

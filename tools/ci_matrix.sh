@@ -27,10 +27,12 @@
 # benchmark section (SEG_BENCH_OBS_ONLY=1).
 #
 # The oocore leg reuses the asan tree and re-runs the pipeline,
-# mmap-backing, graphc, out-of-core and varint suites, so the zero-copy
-# GraphView path (mapping lifetime, varint decode bounds, classify parity
-# on map_graph() views) gets sanitizer coverage; see
-# docs/graph-format.md.
+# mmap-backing, graphc, graph-file I/O, out-of-core and varint suites, so
+# both graphc loaders (map_graph() and load_graph_compressed(), which share
+# one header parser, one packed-section walker and validate(), including
+# the word-splat corruption sweep) and the zero-copy GraphView path (mapping
+# lifetime, varint decode bounds, classify parity on map_graph() views)
+# get sanitizer coverage; see docs/graph-format.md.
 #
 # The ingest leg covers the streaming front end (docs/ingestion.md): a
 # tsan soak of the queue and stream-determinism suites (repeated, so the
@@ -295,7 +297,7 @@ run_oocore() {
     return 1
   fi
   if ! "${build_dir}/tests/graph_test" \
-       --gtest_filter='GraphCompressed*:OutOfCore*:Varint*' >> "${log}" 2>&1; then
+       --gtest_filter='GraphCompressed*:GraphIo*:OutOfCore*:Varint*' >> "${log}" 2>&1; then
     echo "    graph suites FAILED under asan (see ${log})"
     return 1
   fi

@@ -261,10 +261,9 @@ StreamingTotals run_streaming(std::size_t threads, std::size_t max_isps) {
 
 // The wire-replay leg: ISP 0's bench days serialized to real capture files
 // (a multi-segment SEGTRC1 binlog, a dnstap frame stream, a classic pcap)
-// and replayed through FileTraceSource. Parse-only qps is the number the
-// ROADMAP's 10^4-10^5 qps ingestion target is measured against; the
-// end-to-end figure (including graph preparation) and the queue counters
-// come from the streaming leg.
+// and replayed through FileTraceSource. Parse-only qps is the ceiling of
+// any session fed from that format; the end-to-end figure (including graph
+// preparation) and the queue counters come from the streaming leg.
 struct IngestSection {
   std::uint64_t records = 0;
   double binlog_replay_qps = 0.0;

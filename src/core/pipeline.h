@@ -75,7 +75,8 @@ struct StreamingStats {
 /// Tuning for ingest_stream()'s producer/queue stage.
 struct IngestOptions {
   std::size_t batch_records = 1024;  ///< records per micro-batch pushed
-  std::size_t queue_capacity = 256;  ///< max queued batches (back-pressure)
+  /// Max queued batches (back-pressure).
+  std::size_t queue_capacity = util::kDefaultIngestQueueCapacity;
   util::BackpressurePolicy policy = util::BackpressurePolicy::kBlock;
   /// When false, the source is parsed inline on the caller thread with no
   /// producer thread and no queue (for sources already in memory).

@@ -53,8 +53,10 @@ std::string normalize(std::string_view text) {
 
 DomainName DomainName::parse(std::string_view text) {
   std::string normalized = normalize(text);
-  util::require_data(validate_normalized(normalized),
-                     "DomainName::parse: invalid domain name: '" + std::string(text) + "'");
+  if (!validate_normalized(normalized)) {
+    throw util::ParseError("DomainName::parse: invalid domain name: '" + std::string(text) +
+                           "'");
+  }
   return DomainName(std::move(normalized));
 }
 

@@ -78,9 +78,10 @@ DayTrace read_trace(const std::string& path) {
   bool first = true;
   std::vector<std::string_view> fields;
   while (reader.next(fields)) {
-    util::require_data(fields.size() == 4,
-                       "read_trace: expected 4 fields at line " +
-                           std::to_string(reader.line_number()));
+    if (fields.size() != 4) {
+      throw util::ParseError("read_trace: expected 4 fields at line " +
+                             std::to_string(reader.line_number()));
+    }
     QueryRecord record;
     record.day = static_cast<Day>(util::parse_u64(fields[0]));
     record.machine = std::string(fields[1]);
@@ -91,9 +92,8 @@ DayTrace read_trace(const std::string& path) {
     if (first) {
       trace.day = record.day;
       first = false;
-    } else {
-      util::require_data(record.day == trace.day,
-                         "read_trace: mixed days in one trace file at line " +
+    } else if (record.day != trace.day) {
+      throw util::ParseError("read_trace: mixed days in one trace file at line " +
                              std::to_string(reader.line_number()));
     }
     trace.records.push_back(std::move(record));

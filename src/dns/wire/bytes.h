@@ -7,11 +7,16 @@
 // util::ParseError on truncation. Nothing is copied — take() hands back
 // subspans of the underlying mapping, so a multi-gigabyte capture is
 // parsed without ever materializing it.
+//
+// A successful read costs one compare and one branch: the error message is
+// formatted only after a check fails, in fail() (out of line and cold), so
+// decoding a record allocates nothing on the cursor's account.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <string_view>
 
 #include "util/require.h"
@@ -30,9 +35,9 @@ class ByteCursor {
 
   /// Throws util::ParseError mentioning `what` unless `n` bytes remain.
   void require_bytes(std::size_t n, std::string_view what) const {
-    util::require_data(n <= remaining(),
-                       std::string(what) + ": truncated (need " + std::to_string(n) +
-                           " bytes, have " + std::to_string(remaining()) + ")");
+    if (n > remaining()) [[unlikely]] {
+      fail(Failure::kTruncated, what, n, remaining());
+    }
   }
 
   std::uint8_t u8(std::string_view what) {
@@ -94,8 +99,9 @@ class ByteCursor {
   /// bounds-checked random access goes through u8_at/view_at so R-WIRE1
   /// (docs/static-analysis.md) can confine raw subscripts to this header.
   std::uint8_t u8_at(std::size_t offset, std::string_view what) const {
-    util::require_data(offset < data_.size(),
-                       std::string(what) + ": offset past buffer end");
+    if (offset >= data_.size()) [[unlikely]] {
+      fail(Failure::kPastEnd, what, 0, 0);
+    }
     return data_[offset];
   }
 
@@ -103,9 +109,9 @@ class ByteCursor {
   /// subspan of the underlying buffer, valid as long as the buffer).
   std::span<const unsigned char> view_at(std::size_t offset, std::size_t n,
                                          std::string_view what) const {
-    util::require_data(offset <= data_.size() && n <= data_.size() - offset,
-                       std::string(what) + ": truncated (need " + std::to_string(n) +
-                           " bytes at offset " + std::to_string(offset) + ")");
+    if (offset > data_.size() || n > data_.size() - offset) [[unlikely]] {
+      fail(Failure::kTruncatedAt, what, n, offset);
+    }
     return data_.subspan(offset, n);
   }
 
@@ -113,6 +119,33 @@ class ByteCursor {
   std::span<const unsigned char> buffer() const { return data_; }
 
  private:
+  enum class Failure { kTruncated, kPastEnd, kTruncatedAt };
+
+  // The one failure path of every check above: formats the message for
+  // `kind` (`n` bytes needed; `at` is what remained or the absolute
+  // offset) and throws util::ParseError. Kept out of line so the inlined
+  // success paths stay a compare and a branch.
+  [[noreturn]] [[gnu::cold]] [[gnu::noinline]] static void fail(Failure kind,
+                                                                std::string_view what,
+                                                                std::size_t n,
+                                                                std::size_t at) {
+    std::string message(what);
+    switch (kind) {
+      case Failure::kTruncated:
+        message += ": truncated (need " + std::to_string(n) + " bytes, have " +
+                   std::to_string(at) + ")";
+        break;
+      case Failure::kPastEnd:
+        message += ": offset past buffer end";
+        break;
+      case Failure::kTruncatedAt:
+        message += ": truncated (need " + std::to_string(n) + " bytes at offset " +
+                   std::to_string(at) + ")";
+        break;
+    }
+    throw util::ParseError(message);
+  }
+
   std::span<const unsigned char> data_;
   std::size_t pos_ = 0;
 };

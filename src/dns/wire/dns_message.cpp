@@ -1,5 +1,8 @@
 #include "dns/wire/dns_message.h"
 
+#include <algorithm>
+#include <array>
+
 #include "dns/wire/bytes.h"
 #include "util/require.h"
 
@@ -11,12 +14,21 @@ constexpr std::size_t kMaxNameBytes = 255;  // RFC 1035 §2.3.4
 constexpr std::size_t kMaxLabelBytes = 63;
 constexpr std::size_t kMaxPointerJumps = 32;  // far above any legal chain
 constexpr std::uint16_t kOptRrType = 41;      // EDNS0 OPT pseudo-RR (RFC 6891)
+// Smallest resource record: root name (1) + type, class, ttl, rdlength (10).
+constexpr std::size_t kMinRrBytes = 11;
 
-// Decodes a (possibly compressed) domain name starting at the cursor,
-// appending dotted labels to `out`. The cursor ends just past the name's
-// in-place bytes (a pointer terminates the in-place encoding).
-void read_name(ByteCursor& cursor, std::string& out) {
-  out.clear();
+// Decodes a (possibly compressed) domain name starting at the cursor into
+// `out` as dotted labels, or only validates it when `out` is null (names
+// Segugio never reads are checked, not materialized). The cursor ends just
+// past the name's in-place bytes (a pointer terminates the in-place
+// encoding).
+void read_name(ByteCursor& cursor, std::string* out) {
+  // The dotted form is assembled on the stack and assigned once, so a name
+  // costs at most one right-sized allocation. It never outgrows the
+  // buffer: it is name_bytes - 1 characters long, and name_bytes is
+  // checked against kMaxNameBytes before every label is copied.
+  std::array<char, kMaxNameBytes> dotted;
+  std::size_t dotted_size = 0;
   std::size_t jumps = 0;
   // After the first compression pointer we walk the message at `offset`
   // through the cursor's bounds-checked random access (u8_at / view_at) —
@@ -42,8 +54,11 @@ void read_name(ByteCursor& cursor, std::string& out) {
       continue;
     }
     util::require_data((len & 0xc0) == 0, "dns name: reserved label type");
-    if (len == 0) {
-      return;  // root: name complete
+    if (len == 0) {  // root: name complete
+      if (out != nullptr) {
+        out->assign(dotted.data(), dotted_size);
+      }
+      return;
     }
     util::require_data(len <= kMaxLabelBytes, "dns name: label longer than 63 bytes");
     name_bytes += len + 1;
@@ -55,17 +70,17 @@ void read_name(ByteCursor& cursor, std::string& out) {
       label = cursor.view_at(offset, len, "dns name label");
       offset += len;
     }
-    if (!out.empty()) {
-      out.push_back('.');
+    if (dotted_size > 0) {
+      dotted[dotted_size++] = '.';
     }
-    out.append(reinterpret_cast<const char*>(label.data()), label.size());
+    std::copy(label.begin(), label.end(), dotted.begin() + dotted_size);
+    dotted_size += label.size();
   }
 }
 
 // Walks one resource record, collecting A/IN rdata into `summary`.
-void read_resource_record(ByteCursor& cursor, std::string& scratch_name,
-                          DnsSummary* summary) {
-  read_name(cursor, scratch_name);
+void read_resource_record(ByteCursor& cursor, DnsSummary* summary) {
+  read_name(cursor, nullptr);
   const auto rr_type = cursor.u16be("rr type");
   const auto rr_class = cursor.u16be("rr class");
   cursor.skip(4, "rr ttl");
@@ -92,21 +107,20 @@ DnsSummary summarize(std::span<const unsigned char> message) {
   const auto nscount = cursor.u16be("dns header nscount");
   const auto arcount = cursor.u16be("dns header arcount");
 
-  std::string scratch;
   for (std::uint16_t q = 0; q < qdcount; ++q) {
-    read_name(cursor, scratch);
+    read_name(cursor, q == 0 ? &summary.qname : nullptr);
     cursor.skip(4, "dns question type/class");
-    if (q == 0) {
-      summary.qname = scratch;
-    }
   }
+  // One allocation for the answers, bounded by what the message can hold
+  // (ancount alone is untrusted).
+  summary.a_records.reserve(std::min<std::size_t>(ancount, cursor.remaining() / kMinRrBytes));
   for (std::uint16_t a = 0; a < ancount; ++a) {
-    read_resource_record(cursor, scratch, &summary);
+    read_resource_record(cursor, &summary);
   }
   // Authority must still parse — a capture that lies about its counts or
   // truncates mid-record is rejected, not silently accepted.
   for (std::uint16_t r = 0; r < nscount; ++r) {
-    read_resource_record(cursor, scratch, nullptr);
+    read_resource_record(cursor, nullptr);
   }
   for (std::uint16_t r = 0; r < arcount; ++r) {
     // EDNS0 OPT pseudo-RRs (RFC 6891, type 41) carry resolver capability
@@ -114,7 +128,7 @@ DnsSummary summarize(std::span<const unsigned char> message) {
     // (snap length). They are skipped leniently and counted; a malformed
     // OPT ends the additional section instead of rejecting the message.
     // Every other additional record stays strict.
-    read_name(cursor, scratch);
+    read_name(cursor, nullptr);
     const auto rr_type = cursor.u16be("rr type");
     if (rr_type == kOptRrType) {
       if (cursor.remaining() < 8) {  // class(2) + ttl(4) + rdlength(2)

@@ -1,6 +1,7 @@
 #include "dns/wire/dnstap.h"
 
 #include <fstream>
+#include <utility>
 
 #include "dns/wire/bytes.h"
 #include "dns/wire/dns_message.h"
@@ -189,8 +190,10 @@ bool DnstapReader::next(QueryRecord& record) {
       }
       continue;
     }
-    util::require_data(length <= kMaxDnstapFrameBytes,
-                       "dnstap: oversized frame (" + std::to_string(length) + " bytes)");
+    if (length > kMaxDnstapFrameBytes) {
+      throw util::ParseError("dnstap: oversized frame (" + std::to_string(length) +
+                             " bytes)");
+    }
     const auto frame = cursor.take(length, "dnstap data frame");
     pos_ += cursor.pos();
 
@@ -217,7 +220,7 @@ bool DnstapReader::next(QueryRecord& record) {
       ++skipped_;
       continue;
     }
-    const auto summary = summarize(message.response_message);
+    auto summary = summarize(message.response_message);
     if (!summary.is_response || summary.rcode != 0 || summary.qname.empty() ||
         summary.a_records.empty()) {
       ++skipped_;
@@ -226,8 +229,8 @@ bool DnstapReader::next(QueryRecord& record) {
     record.day = static_cast<Day>(static_cast<std::int64_t>(message.response_time_sec) /
                                   kSecondsPerDay);
     record.machine = address_to_string(message.query_address);
-    record.qname = summary.qname;
-    record.resolved_ips = summary.a_records;
+    record.qname = std::move(summary.qname);
+    record.resolved_ips = std::move(summary.a_records);
     return true;
   }
   return false;

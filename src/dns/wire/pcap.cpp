@@ -1,6 +1,7 @@
 #include "dns/wire/pcap.h"
 
 #include <fstream>
+#include <utility>
 
 #include "dns/wire/bytes.h"
 #include "dns/wire/dns_message.h"
@@ -128,9 +129,10 @@ bool PcapReader::next(QueryRecord& record) {
     cursor.skip(4, "packet ts_frac");
     const auto incl_len = read_u32(cursor, swapped_, "packet incl_len");
     const auto orig_len = read_u32(cursor, swapped_, "packet orig_len");
-    util::require_data(incl_len <= kMaxPcapPacketBytes,
-                       "pcap: oversized packet record (" + std::to_string(incl_len) +
-                           " bytes)");
+    if (incl_len > kMaxPcapPacketBytes) {
+      throw util::ParseError("pcap: oversized packet record (" + std::to_string(incl_len) +
+                             " bytes)");
+    }
     const auto packet = cursor.take(incl_len, "packet data");
     pos_ += cursor.pos();
     if (incl_len < orig_len) {
@@ -142,7 +144,7 @@ bool PcapReader::next(QueryRecord& record) {
       ++skipped_;
       continue;
     }
-    const auto summary = summarize(datagram.dns);
+    auto summary = summarize(datagram.dns);
     opt_records_ += summary.opt_records;
     opt_skipped_ += summary.opt_skipped;
     if (!summary.is_response || summary.rcode != 0 || summary.qname.empty() ||
@@ -152,8 +154,8 @@ bool PcapReader::next(QueryRecord& record) {
     }
     record.day = static_cast<Day>(static_cast<std::int64_t>(ts_sec) / kSecondsPerDay);
     record.machine = datagram.client.to_string();
-    record.qname = summary.qname;
-    record.resolved_ips = summary.a_records;
+    record.qname = std::move(summary.qname);
+    record.resolved_ips = std::move(summary.a_records);
     return true;
   }
 }

@@ -183,8 +183,9 @@ NameCache NameCache::load(std::istream& in, std::size_t num_shards) {
     }
     const std::string key = unescape(key_text);
     auto& shard = cache.shards_[cache.shard_of(key)];
-    util::require_data(!shard.ids.contains(key),
-                       "NameCache::load: duplicate key '" + key + "'");
+    if (shard.ids.contains(key)) {
+      throw util::ParseError("NameCache::load: duplicate key '" + key + "'");
+    }
     shard.entries.push_back(std::move(entry));
     shard.ids.emplace(key, static_cast<std::uint32_t>(shard.entries.size() - 1));
   }

@@ -4,8 +4,8 @@
 // Continuous ingestion decouples parsing (dnstap/pcap/binlog readers, one
 // or more producer threads) from graph preparation (the pipeline's caller
 // thread) through a bounded queue of record *batches* — micro-batching
-// amortizes the lock so the queue never becomes the bottleneck at the
-// 10^4-10^5 qps the ROADMAP targets.
+// amortizes the lock so the queue never becomes the bottleneck, even at
+// the ~10^6 qps the wire decoders reach.
 //
 // Back-pressure is a policy choice made at construction time:
 //
@@ -68,6 +68,13 @@ enum class BackpressurePolicy {
   kCountAndDrop,
 };
 
+/// Default queue bound in batches, shared by IngestQueueOptions and
+/// core::IngestOptions. Once wire decode outruns the consumer the queue
+/// sits full, so the bound is what sets in-flight memory (about 1 K
+/// decoded records per batch) and how far the producer runs ahead of the
+/// day being reported.
+inline constexpr std::size_t kDefaultIngestQueueCapacity = 32;
+
 /// Cumulative queue counters, readable at any time (values are snapshots;
 /// totals are exact once the queue is closed and drained).
 struct IngestQueueStats {
@@ -83,7 +90,8 @@ struct IngestQueueStats {
 };
 
 struct IngestQueueOptions {
-  std::size_t capacity = 256;  ///< max queued batches before back-pressure
+  /// Max queued batches before back-pressure.
+  std::size_t capacity = kDefaultIngestQueueCapacity;
   BackpressurePolicy policy = BackpressurePolicy::kBlock;
   /// When non-empty, queue counters are mirrored into the seg::obs
   /// registry as `<prefix>_{pushed,dropped}_batches_total`,

@@ -27,8 +27,14 @@ class ParseError : public std::runtime_error {
 };
 
 /// Checks a precondition; throws PreconditionError with `message` when
-/// `condition` is false. Intentionally always-on (not compiled out): the
-/// library's hot paths avoid calling this per-element.
+/// `condition` is false. Intentionally always-on (not compiled out).
+///
+/// Both helpers are cheap enough to call per element when `message` is a
+/// literal: a string_view costs nothing until the check fails. A message
+/// built with `+` or std::to_string is evaluated before the call, i.e. on
+/// every success too, so per-element checks with formatted messages test
+/// first and build the message only on failure
+/// (`if (!ok) throw ParseError("..." + detail);`).
 inline void require(bool condition, std::string_view message) {
   if (!condition) {
     throw PreconditionError(std::string(message));

@@ -90,8 +90,9 @@ std::uint64_t parse_u64(std::string_view text) {
   text = trim(text);
   std::uint64_t value = 0;
   const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  require_data(ec == std::errc() && ptr == text.data() + text.size(),
-               "parse_u64: malformed unsigned integer: '" + std::string(text) + "'");
+  if (ec != std::errc() || ptr != text.data() + text.size()) {
+    throw ParseError("parse_u64: malformed unsigned integer: '" + std::string(text) + "'");
+  }
   return value;
 }
 
@@ -99,8 +100,10 @@ double parse_double(std::string_view text) {
   text = trim(text);
   double value = 0.0;
   const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  require_data(ec == std::errc() && ptr == text.data() + text.size(),
-               "parse_double: malformed floating-point value: '" + std::string(text) + "'");
+  if (ec != std::errc() || ptr != text.data() + text.size()) {
+    throw ParseError("parse_double: malformed floating-point value: '" + std::string(text) +
+                     "'");
+  }
   return value;
 }
 

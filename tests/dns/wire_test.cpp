@@ -705,5 +705,83 @@ TEST_F(WireTest, BinlogRejectsForeignMagicMidStream) {
   EXPECT_THROW(source.next(record), util::ParseError);
 }
 
+// --- error text ------------------------------------------------------------
+
+// The what() of the util::ParseError `parse` throws ("" when it throws
+// nothing, so a missing error fails the comparison instead of the test).
+template <typename Parse>
+std::string parse_error_text(const Parse& parse) {
+  try {
+    parse();
+  } catch (const util::ParseError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST_F(WireTest, DecoderErrorMessagesAreExact) {
+  // The decoders format their messages only once a check has failed; this
+  // pins the text of each failure kind so that laziness changes no byte.
+  const auto path = temp_path(".messages.dnstap");
+  wire::write_dnstap_trace(DayTrace{20, {}}, path);
+  auto dnstap = read_bytes(path);
+  dnstap.resize(dnstap.size() - 12);  // drop the STOP control frame
+
+  // ByteCursor::take: a data frame promising 100 bytes, 10 present.
+  auto truncated = dnstap;
+  append_be32(truncated, 100);
+  truncated.insert(truncated.end(), 10, 0x00);
+  EXPECT_EQ(parse_error_text([&] {
+              wire::DnstapReader reader(truncated);
+              QueryRecord record;
+              reader.next(record);
+            }),
+            "dnstap data frame: truncated (need 100 bytes, have 10)");
+
+  // The frame-length bound, checked before the cursor is asked for bytes.
+  auto oversized = dnstap;
+  append_be32(oversized, wire::kMaxDnstapFrameBytes + 1);
+  EXPECT_EQ(parse_error_text([&] {
+              wire::DnstapReader reader(oversized);
+              QueryRecord record;
+              reader.next(record);
+            }),
+            "dnstap: oversized frame (1048577 bytes)");
+
+  std::vector<unsigned char> pcap;
+  append_le32(pcap, 0xa1b2c3d4);
+  append_le32(pcap, 0x00040002);
+  append_le32(pcap, 0);
+  append_le32(pcap, 0);
+  append_le32(pcap, wire::kMaxPcapPacketBytes);
+  append_le32(pcap, 1);        // Ethernet
+  append_le32(pcap, 1728000);  // ts_sec
+  append_le32(pcap, 0);        // ts_frac
+  append_le32(pcap, wire::kMaxPcapPacketBytes + 1);
+  append_le32(pcap, wire::kMaxPcapPacketBytes + 1);
+  EXPECT_EQ(parse_error_text([&] {
+              wire::PcapReader reader(pcap);
+              QueryRecord record;
+              reader.next(record);
+            }),
+            "pcap: oversized packet record (65537 bytes)");
+
+  // A header with qdcount 1 whose question name is a compression pointer
+  // to offset 14, where a label starts but the message ends.
+  const auto pointed_at_label = [](unsigned char label_length) {
+    std::vector<unsigned char> message(12, 0x00);
+    message[5] = 1;  // qdcount
+    message.insert(message.end(), {0xc0, 14, label_length, 'a'});
+    return message;
+  };
+  // ByteCursor::u8_at: the one-byte label fits, the next length byte is
+  // past the end.
+  EXPECT_EQ(parse_error_text([&] { wire::summarize(pointed_at_label(1)); }),
+            "dns name: offset past buffer end");
+  // ByteCursor::view_at: the label claims 5 bytes, 1 is left.
+  EXPECT_EQ(parse_error_text([&] { wire::summarize(pointed_at_label(5)); }),
+            "dns name label: truncated (need 5 bytes at offset 15)");
+}
+
 }  // namespace
 }  // namespace seg::dns

@@ -37,9 +37,13 @@
 # The ingest leg covers the streaming front end (docs/ingestion.md): a
 # tsan soak of the queue and stream-determinism suites (repeated, so the
 # producer/consumer interleavings actually vary), the malformed-wire
-# corpus under asan (where "never UB" is checked, not assumed), and the
-# replay benchmark (SEG_BENCH_INGEST_ONLY=1), whose BENCH_pipeline.json
-# "ingest" section is archived under ${LOG_DIR}/ingest/.
+# corpus and the stream-determinism suite under asan+ubsan (where "never
+# UB" is checked, not assumed; the stream suite runs at the default queue
+# capacity, where a fast decoder keeps the queue full), the wire decoders'
+# allocation budget (wire_alloc_test, plain tree only: it replaces the
+# global operator new, which the sanitizers own), and the replay benchmark
+# (SEG_BENCH_INGEST_ONLY=1), whose BENCH_pipeline.json "ingest" section is
+# archived under ${LOG_DIR}/ingest/.
 #
 # Environment:
 #   SEG_CI_JOBS     parallel build/test jobs (default: nproc)
@@ -317,7 +321,7 @@ run_ingest() {
     return 1
   fi
   if ! cmake -B build-asan -S . -DSEG_SANITIZE=address >> "${log}" 2>&1 ||
-     ! cmake --build build-asan -j "${JOBS}" --target dns_test >> "${log}" 2>&1; then
+     ! cmake --build build-asan -j "${JOBS}" --target dns_test core_test >> "${log}" 2>&1; then
     echo "    asan build FAILED (see ${log})"
     return 1
   fi
@@ -334,19 +338,29 @@ run_ingest() {
     return 1
   fi
 
-  echo "=== [ingest] asan: malformed wire corpus ==="
+  echo "=== [ingest] asan: malformed wire corpus + stream determinism ==="
   if ! build-asan/tests/dns_test --gtest_filter='WireTest*' >> "${log}" 2>&1; then
     echo "    wire corpus FAILED under asan (see ${log})"
     return 1
   fi
-
-  echo "=== [ingest] replay benchmark (SEG_BENCH_INGEST_ONLY=1) ==="
-  if ! cmake -B build-plain -S . >> "${log}" 2>&1 ||
-     ! cmake --build build-plain -j "${JOBS}" --target bench_perf_efficiency \
-         >> "${log}" 2>&1; then
-    echo "    bench build FAILED (see ${log})"
+  if ! build-asan/tests/core_test --gtest_filter='PipelineStream*' >> "${log}" 2>&1; then
+    echo "    pipeline stream suite FAILED under asan (see ${log})"
     return 1
   fi
+
+  echo "=== [ingest] wire decode allocation budget (plain tree) ==="
+  if ! cmake -B build-plain -S . >> "${log}" 2>&1 ||
+     ! cmake --build build-plain -j "${JOBS}" \
+         --target wire_alloc_test bench_perf_efficiency >> "${log}" 2>&1; then
+    echo "    plain build FAILED (see ${log})"
+    return 1
+  fi
+  if ! build-plain/tests/wire_alloc_test >> "${log}" 2>&1; then
+    echo "    wire decode allocation budget FAILED (see ${log})"
+    return 1
+  fi
+
+  echo "=== [ingest] replay benchmark (SEG_BENCH_INGEST_ONLY=1) ==="
   # The bench writes BENCH_pipeline.json into its cwd and exits non-zero
   # if the blocking queue ever dropped a batch.
   if ! (cd build-plain && SEG_BENCH_INGEST_ONLY=1 ./bench/bench_perf_efficiency) \

@@ -262,9 +262,13 @@ Segugio Segugio::load(std::istream& in) {
   in >> tag >> subset_size;
   util::require_data(static_cast<bool>(in) && tag == "subset",
                      "Segugio::load: malformed feature subset");
+  util::require_data(subset_size <= features::kNumFeatures,
+                     "Segugio::load: feature subset larger than the feature vector");
   config.feature_subset.resize(subset_size);
   for (auto& index : config.feature_subset) {
     in >> index;
+    util::require_data(index < features::kNumFeatures,
+                       "Segugio::load: feature subset index out of range");
   }
   int prober_enabled = 0;
   in >> tag >> prober_enabled;
@@ -279,14 +283,21 @@ Segugio Segugio::load(std::istream& in) {
   in >> tag >> kind;
   util::require_data(static_cast<bool>(in) && tag == "classifier",
                      "Segugio::load: malformed classifier block");
+  // The classifier scores the feature vector cut to the subset.
+  const auto arity =
+      config.feature_subset.empty() ? features::kNumFeatures : config.feature_subset.size();
   Segugio segugio(std::move(config));
   if (kind == "forest") {
     segugio.config_.classifier = ClassifierKind::kRandomForest;
     segugio.forest_ = std::make_unique<ml::RandomForest>(ml::RandomForest::load(in));
+    util::require_data(segugio.forest_->num_features() == arity,
+                       "Segugio::load: forest feature count differs from the feature subset");
   } else if (kind == "logistic") {
     segugio.config_.classifier = ClassifierKind::kLogisticRegression;
     segugio.logistic_ =
         std::make_unique<ml::LogisticRegression>(ml::LogisticRegression::load(in));
+    util::require_data(segugio.logistic_->weights().size() == arity,
+                       "Segugio::load: logistic feature count differs from the feature subset");
   } else {
     throw util::ParseError("Segugio::load: unknown classifier kind '" + kind + "'");
   }

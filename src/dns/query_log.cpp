@@ -77,6 +77,7 @@ DayTrace read_trace(const std::string& path) {
   DayTrace trace;
   bool first = true;
   std::vector<std::string_view> fields;
+  std::vector<std::string_view> ips;
   while (reader.next(fields)) {
     if (fields.size() != 4) {
       throw util::ParseError("read_trace: expected 4 fields at line " +
@@ -86,7 +87,8 @@ DayTrace read_trace(const std::string& path) {
     record.day = static_cast<Day>(util::parse_u64(fields[0]));
     record.machine = std::string(fields[1]);
     record.qname = std::string(fields[2]);
-    for (const auto ip_text : util::split_skip_empty(fields[3], ',')) {
+    util::split_skip_empty(fields[3], ',', ips);
+    for (const auto ip_text : ips) {
       record.resolved_ips.push_back(IpV4::parse(ip_text));
     }
     if (first) {
@@ -180,16 +182,18 @@ Day for_each_record(const std::string& path,
   Day day = 0;
   bool first = true;
   std::vector<std::string_view> fields;
+  std::vector<std::string_view> ips;
   QueryRecord record;
   while (reader.next(fields)) {
     util::require_data(fields.size() == 4,
                        "for_each_record: expected 4 fields at line " +
                            std::to_string(reader.line_number()));
     record.day = static_cast<Day>(util::parse_u64(fields[0]));
-    record.machine = std::string(fields[1]);
-    record.qname = std::string(fields[2]);
+    record.machine.assign(fields[1]);
+    record.qname.assign(fields[2]);
     record.resolved_ips.clear();
-    for (const auto ip_text : util::split_skip_empty(fields[3], ',')) {
+    util::split_skip_empty(fields[3], ',', ips);
+    for (const auto ip_text : ips) {
       record.resolved_ips.push_back(IpV4::parse(ip_text));
     }
     if (first) {

@@ -78,20 +78,22 @@ class SimCursor {
  public:
   explicit SimCursor(const std::string& path) : reader_(path) {}
 
+  // Reuses `fields_`, `ips_` and the record's buffers, so a record costs
+  // only the allocations its caller's moves force.
   bool next(QueryRecord& record) {
-    std::vector<std::string_view> fields;
-    if (!reader_.next(fields)) {
+    if (!reader_.next(fields_)) {
       return false;
     }
-    if (fields.size() != 4) {
+    if (fields_.size() != 4) {
       throw util::ParseError("sim trace: expected 4 fields at line " +
                              std::to_string(reader_.line_number()));
     }
-    record.day = static_cast<Day>(util::parse_u64(fields[0]));
-    record.machine = std::string(fields[1]);
-    record.qname = std::string(fields[2]);
+    record.day = static_cast<Day>(util::parse_u64(fields_[0]));
+    record.machine.assign(fields_[1]);
+    record.qname.assign(fields_[2]);
     record.resolved_ips.clear();
-    for (const auto ip_text : util::split_skip_empty(fields[3], ',')) {
+    util::split_skip_empty(fields_[3], ',', ips_);
+    for (const auto ip_text : ips_) {
       record.resolved_ips.push_back(IpV4::parse(ip_text));
     }
     return true;
@@ -99,6 +101,8 @@ class SimCursor {
 
  private:
   util::DsvReader reader_;
+  std::vector<std::string_view> fields_;
+  std::vector<std::string_view> ips_;
 };
 
 }  // namespace

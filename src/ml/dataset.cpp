@@ -1,6 +1,7 @@
 #include "ml/dataset.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/require.h"
 
@@ -15,6 +16,10 @@ void Dataset::add_row(std::span<const double> features, int label) {
   util::require(features.size() == feature_names_.size(),
                 "Dataset::add_row: feature arity mismatch");
   util::require(label == 0 || label == 1, "Dataset::add_row: label must be 0 or 1");
+  // The forest's split search needs a total order on each column.
+  util::require(std::none_of(features.begin(), features.end(),
+                             [](double value) { return std::isnan(value); }),
+                "Dataset::add_row: feature value is NaN");
   data_.insert(data_.end(), features.begin(), features.end());
   labels_.push_back(static_cast<std::int8_t>(label));
 }

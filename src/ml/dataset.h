@@ -27,8 +27,8 @@ class Dataset {
 
   const std::vector<std::string>& feature_names() const { return feature_names_; }
 
-  /// Appends a row; `features.size()` must equal num_features(); label must
-  /// be 0 or 1.
+  /// Appends a row; `features.size()` must equal num_features(), no value
+  /// may be NaN (+-inf is fine), and label must be 0 or 1.
   void add_row(std::span<const double> features, int label);
 
   std::span<const double> row(std::size_t i) const;

@@ -7,6 +7,7 @@
 #include <ostream>
 
 #include "util/require.h"
+#include "util/serialize.h"
 #include "util/rng.h"
 
 namespace seg::ml {
@@ -127,11 +128,16 @@ LogisticRegression LogisticRegression::load(std::istream& in) {
                      "LogisticRegression::load: malformed header");
   LogisticRegression model;
   in >> model.bias_;
-  model.weights_.resize(d);
-  model.mean_.resize(d);
-  model.stddev_.resize(d);
-  for (std::size_t f = 0; f < d; ++f) {
-    in >> model.weights_[f] >> model.mean_[f] >> model.stddev_[f];
+  // A feature is three fields: at least three characters and two separators.
+  util::require_count_fits(in, d, 5, "LogisticRegression::load: feature count exceeds the input");
+  for (std::size_t f = 0; f < d && in; ++f) {
+    double weight = 0.0;
+    double mean = 0.0;
+    double stddev = 0.0;
+    in >> weight >> mean >> stddev;
+    model.weights_.push_back(weight);
+    model.mean_.push_back(mean);
+    model.stddev_.push_back(stddev);
   }
   util::require_data(static_cast<bool>(in), "LogisticRegression::load: truncated model");
   return model;

@@ -10,6 +10,7 @@
 #include "util/obs/trace.h"
 #include "util/parallel.h"
 #include "util/require.h"
+#include "util/serialize.h"
 
 namespace seg::ml {
 
@@ -33,6 +34,8 @@ void RandomForest::train(const Dataset& dataset) {
   const auto sample_size = std::max<std::size_t>(
       1, static_cast<std::size_t>(config_.sample_fraction * static_cast<double>(n)));
 
+  // One rank view of the training set, shared read-only by every tree.
+  const RankedColumns columns(dataset);
   trees_.assign(config_.num_trees, DecisionTree{});
   // Pre-fork one RNG per tree so parallel execution order cannot change the
   // result.
@@ -84,7 +87,7 @@ void RandomForest::train(const Dataset& dataset) {
     tree_config.mtry = mtry;
     tree_config.seed = rng.next();
     trees_[t] = DecisionTree(tree_config);
-    trees_[t].train_on(dataset, sample);
+    trees_[t].train_on(columns, sample);
   });
 
   if (config_.compute_oob) {
@@ -161,13 +164,16 @@ RandomForest RandomForest::load(std::istream& in) {
   std::size_t num_features = 0;
   std::size_t num_trees = 0;
   in >> tag >> num_features >> num_trees;
-  util::require_data(static_cast<bool>(in) && tag == "forest",
+  util::require_data(static_cast<bool>(in) && tag == "forest" && num_trees > 0,
                      "RandomForest::load: malformed header");
+  // A tree is at least a `tree` header and one node.
+  util::require_count_fits(in, num_trees, 20, "RandomForest::load: tree count exceeds the input");
   RandomForest forest;
   forest.num_features_ = num_features;
-  forest.trees_.reserve(num_trees);
   for (std::size_t t = 0; t < num_trees; ++t) {
     forest.trees_.push_back(DecisionTree::load(in));
+    util::require_data(forest.trees_.back().num_features() == num_features,
+                       "RandomForest::load: tree feature count differs from the forest's");
   }
   return forest;
 }

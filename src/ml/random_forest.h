@@ -46,6 +46,7 @@ class RandomForest final : public Classifier {
   double predict_proba(std::span<const double> features) const override;
   bool is_trained() const override { return !trees_.empty(); }
 
+  std::size_t num_features() const { return num_features_; }
   std::size_t tree_count() const { return trees_.size(); }
 
   /// Mean-decrease-impurity feature importance, normalized to sum to 1.

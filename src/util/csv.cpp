@@ -22,7 +22,7 @@ bool DsvReader::next(std::vector<std::string_view>& fields) {
     if (line.empty() || line.front() == '#') {
       continue;
     }
-    fields = split(std::string_view(buffer_), delimiter_);
+    split(buffer_, delimiter_, fields);
     return true;
   }
   return false;

@@ -11,6 +11,7 @@
 // it reads as version 0, which each loader rejects with util::ParseError.
 #pragma once
 
+#include <cstddef>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -53,6 +54,27 @@ inline int read_format_header(std::istream& in, std::string_view magic, int late
                    std::to_string(version) + " (latest supported: " +
                    std::to_string(latest_version) + ")");
   return version;
+}
+
+/// Checks an untrusted element count read from `in` before a loader
+/// allocates for it: every element takes at least `min_bytes` of the input
+/// still unread, so a count the rest of the stream cannot hold is
+/// malformed. A stream that cannot report its size passes, so loaders
+/// append elements as they parse them and never resize to the count.
+inline void require_count_fits(std::istream& in, std::size_t count, std::size_t min_bytes,
+                               std::string_view message) {
+  const auto here = in.tellg();
+  if (here < 0) {
+    return;
+  }
+  in.seekg(0, std::ios::end);
+  const auto end = in.tellg();
+  in.seekg(here);
+  if (end < here) {
+    return;
+  }
+  const auto left = static_cast<std::size_t>(end - here);
+  require_data(count <= left / min_bytes, message);
 }
 
 }  // namespace seg::util

@@ -9,27 +9,34 @@
 
 namespace seg::util {
 
-std::vector<std::string_view> split(std::string_view input, char delimiter) {
-  std::vector<std::string_view> out;
+void split(std::string_view input, char delimiter, std::vector<std::string_view>& out) {
+  out.clear();
   std::size_t start = 0;
   while (true) {
     const std::size_t pos = input.find(delimiter, start);
     if (pos == std::string_view::npos) {
       out.push_back(input.substr(start));
-      return out;
+      return;
     }
     out.push_back(input.substr(start, pos - start));
     start = pos + 1;
   }
 }
 
+std::vector<std::string_view> split(std::string_view input, char delimiter) {
+  std::vector<std::string_view> out;
+  split(input, delimiter, out);
+  return out;
+}
+
+void split_skip_empty(std::string_view input, char delimiter, std::vector<std::string_view>& out) {
+  split(input, delimiter, out);
+  std::erase_if(out, [](std::string_view part) { return part.empty(); });
+}
+
 std::vector<std::string_view> split_skip_empty(std::string_view input, char delimiter) {
   std::vector<std::string_view> out;
-  for (auto part : split(input, delimiter)) {
-    if (!part.empty()) {
-      out.push_back(part);
-    }
-  }
+  split_skip_empty(input, delimiter, out);
   return out;
 }
 

@@ -12,8 +12,15 @@ namespace seg::util {
 /// while the underlying buffer lives.
 std::vector<std::string_view> split(std::string_view input, char delimiter);
 
+/// split() into `out` (cleared first), so a caller that splits one line
+/// after another reuses the vector's capacity instead of allocating.
+void split(std::string_view input, char delimiter, std::vector<std::string_view>& out);
+
 /// Splits but skips empty fields.
 std::vector<std::string_view> split_skip_empty(std::string_view input, char delimiter);
+
+/// split_skip_empty() into `out` (cleared first).
+void split_skip_empty(std::string_view input, char delimiter, std::vector<std::string_view>& out);
 
 /// Joins `parts` with `delimiter`.
 std::string join(const std::vector<std::string_view>& parts, std::string_view delimiter);

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the segugio CLI: simgen -> train -> classify ->
 # report -> inspect, exercising the trace formats (binlog, dnstap, format
-# autodetection), the deprecated aliases, and the model round trip.
+# autodetection), the deprecated aliases, the model round trip, and the
+# rejection of a corrupted model.
 set -euo pipefail
 CLI="$1"
 DIR="$(mktemp -d)"
@@ -64,5 +65,26 @@ if "$CLI" classify --input "$DIR/day1.bin" --format bogus --model "$DIR/model.tx
   echo "expected failure on unknown --format" >&2
   exit 1
 fi
+
+# A hostile model is rejected with a message, not a signal or a hang: one
+# split node of the trained model gets a child index far out of range.
+awk 'in_tree && !done && NF == 6 && $1 != "-1" { $3 = "99999999"; done = 1 }
+     /^tree / { in_tree = 1 }
+     { print }' "$DIR/model.txt" > "$DIR/hostile-model.txt"
+if cmp -s "$DIR/model.txt" "$DIR/hostile-model.txt"; then
+  echo "hostile model: no split node to corrupt" >&2
+  exit 1
+fi
+STATUS=0
+timeout 20 "$CLI" classify --input "$DIR/day1.bin" --model "$DIR/hostile-model.txt" \
+  --blacklist "$DIR/blacklist-day1.txt" --whitelist "$DIR/whitelist.txt" \
+  --activity "$DIR/activity.txt" --pdns "$DIR/pdns.txt" 2>"$DIR/hostile.txt" >/dev/null ||
+  STATUS=$?
+# 0 is acceptance; 124 is the timeout; 125 and up is a launch failure or a signal.
+if [ "$STATUS" -eq 0 ] || [ "$STATUS" -ge 124 ]; then
+  echo "hostile model: expected a clean failure, got exit status $STATUS" >&2
+  exit 1
+fi
+grep -q "child index out of range" "$DIR/hostile.txt"
 
 echo "cli smoke ok"

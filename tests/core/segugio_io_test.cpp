@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/segugio.h"
 #include "features/feature_config.h"
@@ -25,7 +29,120 @@ class SegugioIoTest : public ::testing::Test {
                                   w.whitelist().all())
         .graph;
   }
+
+  // The saved bytes of a small trained forest model, one string per line.
+  static std::vector<std::string> model_lines() {
+    static const std::string bytes = [] {
+      SegugioConfig config;
+      config.forest.num_trees = 4;
+      Segugio segugio(config);
+      const auto graph = prepared_graph(0);
+      segugio.train(graph, world().activity(), world().pdns());
+      std::stringstream blob;
+      segugio.save(blob);
+      return blob.str();
+    }();
+    std::vector<std::string> lines;
+    std::istringstream in(bytes);
+    for (std::string line; std::getline(in, line);) {
+      lines.push_back(line);
+    }
+    return lines;
+  }
+
+  // Index of the first `tree F N` header line.
+  static std::size_t first_tree(const std::vector<std::string>& lines) {
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      if (lines[i].rfind("tree ", 0) == 0) {
+        return i;
+      }
+    }
+    ADD_FAILURE() << "model has no tree";
+    return 0;
+  }
+
+  // Rewrites the first internal node of the first tree with `edit`, which
+  // gets the node's six fields and its index within the tree.
+  static std::string with_first_split(
+      const std::function<void(std::vector<std::string>&, std::size_t)>& edit) {
+    auto lines = model_lines();
+    const auto header = first_tree(lines);
+    for (std::size_t i = header + 1; i < lines.size(); ++i) {
+      std::istringstream node_line(lines[i]);
+      std::vector<std::string> fields;
+      for (std::string field; node_line >> field;) {
+        fields.push_back(field);
+      }
+      if (fields.size() == 6 && fields[0] != "-1") {
+        edit(fields, i - header - 1);
+        lines[i] = fields[0];
+        for (std::size_t f = 1; f < fields.size(); ++f) {
+          lines[i] += " " + fields[f];
+        }
+        break;
+      }
+    }
+    return join(lines);
+  }
+
+  static std::string join(const std::vector<std::string>& lines) {
+    std::string out;
+    for (const auto& line : lines) {
+      out += line + "\n";
+    }
+    return out;
+  }
+
+  static void expect_parse_error(const std::string& bytes) {
+    std::istringstream in(bytes);
+    EXPECT_THROW(Segugio::load(in), util::ParseError);
+  }
 };
+
+TEST_F(SegugioIoTest, LoadRejectsOutOfRangeChildIndex) {
+  expect_parse_error(with_first_split(
+      [](std::vector<std::string>& fields, std::size_t) { fields[2] = "99999999"; }));
+}
+
+TEST_F(SegugioIoTest, LoadRejectsOutOfRangeSplitFeature) {
+  expect_parse_error(with_first_split(
+      [](std::vector<std::string>& fields, std::size_t) { fields[0] = "500000"; }));
+}
+
+TEST_F(SegugioIoTest, LoadRejectsSelfLoopNode) {
+  expect_parse_error(with_first_split([](std::vector<std::string>& fields, std::size_t node) {
+    fields[2] = std::to_string(node);
+    fields[3] = std::to_string(node);
+  }));
+}
+
+TEST_F(SegugioIoTest, LoadRejectsNodeCountBeyondInput) {
+  auto lines = model_lines();
+  auto& header = lines[first_tree(lines)];
+  header = header.substr(0, header.rfind(' ')) + " 999999999999";
+  expect_parse_error(join(lines));
+}
+
+TEST_F(SegugioIoTest, LoadRejectsLogisticFeatureCountMismatch) {
+  SegugioConfig config;
+  config.classifier = ClassifierKind::kLogisticRegression;
+  const auto graph = prepared_graph(0);
+  Segugio segugio(config);
+  segugio.train(graph, world().activity(), world().pdns());
+  std::stringstream blob;
+  segugio.save(blob);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(blob, line);) {
+    lines.push_back(line);
+  }
+  // A well-formed logistic block one feature short of the feature vector.
+  const std::string header = "logreg " + std::to_string(features::kNumFeatures);
+  const auto at = std::find(lines.begin(), lines.end(), header);
+  ASSERT_NE(at, lines.end());
+  *at = "logreg " + std::to_string(features::kNumFeatures - 1);
+  lines.pop_back();
+  expect_parse_error(join(lines));
+}
 
 TEST_F(SegugioIoTest, ForestModelRoundTrips) {
   SegugioConfig config;

@@ -1,9 +1,10 @@
-// Allocation budget of the wire decoders: decoding a dnstap or pcap record
-// must not cost more than a handful of heap allocations.
+// Allocation budget of the trace decoders: decoding a dnstap, pcap or
+// sim-TSV record must not cost more than a handful of heap allocations.
 //
 // The good path of the decoders builds no error message and copies no
 // field: a record's only allocations are its own qname and address list,
-// which move into the caller's record. This executable replaces the global
+// which move into the caller's record. The sim-TSV reader reuses its line
+// buffer and field list across records. This executable replaces the global
 // operator new with a counter and decodes generated captures through
 // FileTraceSource into a pre-reserved sink, so every allocation counted in
 // the decode loop is the decoder's. The sanitizers own operator new, so
@@ -106,6 +107,12 @@ TEST_F(WireAllocTest, DnstapDecodeStaysWithinBudget) {
 TEST_F(WireAllocTest, PcapDecodeStaysWithinBudget) {
   const auto trace = capture_trace();
   wire::write_pcap_trace(trace, path_);
+  EXPECT_LE(allocations_per_record(trace), kMaxAllocationsPerRecord);
+}
+
+TEST_F(WireAllocTest, SimTsvDecodeStaysWithinBudget) {
+  const auto trace = capture_trace();
+  write_trace(trace, path_);
   EXPECT_LE(allocations_per_record(trace), kMaxAllocationsPerRecord);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "util/require.h"
@@ -45,6 +46,17 @@ TEST(DatasetTest, RejectsBadArityAndLabels) {
   const double row[] = {1.0, 2.0};
   EXPECT_THROW(d.add_row(row, 2), util::PreconditionError);
   EXPECT_THROW(d.add_row(row, -1), util::PreconditionError);
+}
+
+TEST(DatasetTest, RejectsNanButKeepsInfinities) {
+  Dataset d({"a", "b"});
+  const double nan_row[] = {1.0, std::numeric_limits<double>::quiet_NaN()};
+  EXPECT_THROW(d.add_row(nan_row, 0), util::PreconditionError);
+  EXPECT_TRUE(d.empty());
+  const double inf_row[] = {std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity()};
+  d.add_row(inf_row, 1);
+  EXPECT_EQ(d.num_rows(), 1u);
 }
 
 TEST(DatasetTest, OutOfRangeAccessThrows) {

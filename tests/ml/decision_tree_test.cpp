@@ -117,7 +117,7 @@ TEST(DecisionTreeTest, TrainOnSubsetUsesOnlyThoseRows) {
   // only rows {0, 9}, both with extreme values.
   const std::size_t indices[] = {0, 9};
   DecisionTree tree;
-  tree.train_on(d, indices);
+  tree.train_on(RankedColumns(d), indices);
   const double low[] = {0.0};
   const double high[] = {9.0};
   EXPECT_LT(tree.predict_proba(low), 0.5);

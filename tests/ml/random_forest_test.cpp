@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "ml/metrics.h"
+#include "util/hash.h"
 #include "util/parallel.h"
 #include "util/require.h"
 #include "util/rng.h"
@@ -202,6 +205,101 @@ TEST(RandomForestTest, ScoreAllMatchesRowWiseCalls) {
   for (std::size_t i = 0; i < data.num_rows(); ++i) {
     EXPECT_DOUBLE_EQ(scores[i], forest.predict_proba(data.row(i)));
   }
+}
+
+// Datasets for the pinned model digest. They draw only next_below and
+// next_double and combine them with exact or correctly rounded arithmetic,
+// so the rows are the same bytes on every IEEE-754 host.
+
+// Count-like columns with heavy ties (2 to 300 distinct values), shaped
+// like the F2/F3 history features, with about 8% positives.
+Dataset tie_heavy(util::Rng& rng) {
+  Dataset d({"c2", "c5", "c30", "c300", "noise"});
+  for (std::size_t i = 0; i < 1500; ++i) {
+    const std::uint64_t label = rng.next_bool(0.08) ? 1 : 0;
+    const double row[] = {
+        static_cast<double>(rng.next_below(2)),
+        static_cast<double>(rng.next_below(4) + label),
+        static_cast<double>(rng.next_below(20) + 10 * label * rng.next_below(2)),
+        static_cast<double>(rng.next_below(250) + 50 * label),
+        static_cast<double>(rng.next_below(300)),
+    };
+    d.add_row(row, static_cast<int>(label));
+  }
+  return d;
+}
+
+// Continuous columns (about one distinct value per row), so deep nodes hold
+// far fewer rows than a column has values; one column carries a few +-inf.
+Dataset continuous(util::Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Dataset d({"x", "y", "z"});
+  for (std::size_t i = 0; i < 800; ++i) {
+    const double label = i % 3 == 0 ? 1.0 : 0.0;
+    const double x = rng.next_double() + 0.4 * label;
+    const double y = rng.next_double() - 0.3 * label;
+    const double z = i % 97 == 0 ? kInf : i % 89 == 0 ? -kInf : rng.next_double();
+    const double row[] = {x, y, z};
+    d.add_row(row, static_cast<int>(label));
+  }
+  return d;
+}
+
+// Adjacent doubles v and nextafter(v, +inf). For v = 1 + 2^-52 (odd
+// mantissa) the midpoint rounds onto the upper value, so `value <=
+// threshold` sends every row left and the node must stay a leaf; for
+// v = 1.0 the midpoint rounds down and the split is real.
+Dataset adjacent(util::Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double odd = std::nextafter(1.0, 2.0);
+  Dataset d({"odd", "even", "noise"});
+  for (std::size_t i = 0; i < 600; ++i) {
+    const bool label = rng.next_bool(0.3);
+    const bool odd_high = rng.next_bool(0.9) ? label : !label;
+    const bool even_high = rng.next_bool(0.8) ? label : !label;
+    const double row[] = {odd_high ? std::nextafter(odd, kInf) : odd,
+                          even_high ? std::nextafter(1.0, kInf) : 1.0,
+                          static_cast<double>(rng.next_below(3))};
+    d.add_row(row, label ? 1 : 0);
+  }
+  return d;
+}
+
+// fnv1a64 of the saved models over stratified bootstrap off/on and
+// min_samples_leaf 1-3, at the default mtry.
+std::uint64_t model_digest(const Dataset& data) {
+  std::ostringstream bytes;
+  for (const bool stratified : {false, true}) {
+    for (std::size_t min_samples_leaf = 1; min_samples_leaf <= 3; ++min_samples_leaf) {
+      RandomForestConfig config;
+      config.num_trees = 12;
+      config.seed = 7;
+      config.stratified_bootstrap = stratified;
+      config.min_samples_leaf = min_samples_leaf;
+      RandomForest forest(config);
+      forest.train(data);
+      forest.save(bytes);
+    }
+  }
+  return util::fnv1a64(bytes.str());
+}
+
+// The split search may change how it finds a split, never which one it
+// picks: the model bytes are pinned. These constants move only with a
+// deliberate change to what the forest learns.
+TEST(RandomForestTest, ModelBytesMatchPinnedDigest) {
+  const double odd = std::nextafter(1.0, 2.0);
+  const double upper = std::nextafter(odd, 2.0);
+  ASSERT_EQ(odd + (upper - odd) / 2.0, upper);  // the rounding case is real
+  ASSERT_EQ(1.0 + (std::nextafter(1.0, 2.0) - 1.0) / 2.0, 1.0);
+
+  util::Rng rng(2015);
+  const auto ties = tie_heavy(rng);
+  const auto smooth = continuous(rng);
+  const auto adjacent_doubles = adjacent(rng);
+  EXPECT_EQ(model_digest(ties), 0x38565193152e1ad7ULL);
+  EXPECT_EQ(model_digest(smooth), 0x1cc3cebb14ea21faULL);
+  EXPECT_EQ(model_digest(adjacent_doubles), 0x1b8919d3a72bb426ULL);
 }
 
 // Property sweep over forest sizes: AUC should be monotone-ish (not

@@ -414,7 +414,9 @@ run_config() {
     # precompute, sharded build, parallel classify, per-tree fit, message
     # sweeps); run their suites explicitly under tsan so a filtered ctest
     # invocation can't skip the race-contract coverage. The store absorb
-    # suites feed that lookup path.
+    # suites feed that lookup path. The forest's trees share one read-only
+    # RankedColumns across pool workers, so the DecisionTree suite runs
+    # with the forest suites.
     echo "=== [${config}] streaming pipeline + history lookup suites ==="
     if ! "${build_dir}/tests/core_test" --gtest_filter='Pipeline*' >> "${log}" 2>&1; then
       echo "    pipeline tests FAILED under tsan (see ${log})"
@@ -430,7 +432,7 @@ run_config() {
       echo "    store absorb tests FAILED under tsan (see ${log})"
       return 1
     fi
-    if ! "${build_dir}/tests/ml_test" --gtest_filter='RandomForest*:StratifiedBootstrap*' \
+    if ! "${build_dir}/tests/ml_test" --gtest_filter='RandomForest*:StratifiedBootstrap*:DecisionTree*' \
         >> "${log}" 2>&1; then
       echo "    forest tests FAILED under tsan (see ${log})"
       return 1
